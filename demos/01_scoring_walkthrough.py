@@ -9,6 +9,8 @@ Run: python demos/01_scoring_walkthrough.py
 """
 
 from cnretrieval import (
+    DETECTOR,
+    STEM,
     CooccurrenceModel,
     DetectorBank,
     KnowledgeGraph,
@@ -59,12 +61,15 @@ print()
 
 query = "a chef"
 tokens = tokenize(query)
+# A plan compiles the query once; it keeps the first 1, 2 or 3 tiers.
+mil, milstem, cn = (scorer.plan(tokens, DETECTOR), scorer.plan(tokens, STEM),
+                    scorer.plan(tokens))
 print(f"query: {query!r} — no word has a detector, even after stemming")
 print(f"{'image':<12} {'detector-only':>14} {'+stemming':>10} {'+graph':>10}")
 for image in bank.images:
-    print(f"{image:<12} {scorer.mil(tokens, image):>14.4f} "
-          f"{scorer.milstem(tokens, image):>10.4f} "
-          f"{scorer.cn(tokens, image):>10.4f}")
+    print(f"{image:<12} {mil.score(image):>14.4f} "
+          f"{milstem.score(image):>10.4f} "
+          f"{cn.score(image):>10.4f}")
 
 print()
 print("Without the graph every image ties at 1.0 and the ranking is")

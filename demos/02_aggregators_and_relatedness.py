@@ -44,17 +44,17 @@ tokens = tokenize("a bagel")
 print("graph relatedness ('bagel' via doughnut + bread detectors):")
 print(f"{'image':<12}" + "".join(f"{a:>12}" for a in
                                  ("min", "geo-mean", "arith-mean", "max")))
+plans = [
+    Scorer(bank, graph, corpus, config=ScoreConfig(aggregator=agg)).plan(tokens)
+    for agg in ("min", "mean_geometric", "mean_arithmetic", "max")
+]
 for image in bank.images:
-    row = []
-    for agg in ("min", "mean_geometric", "mean_arithmetic", "max"):
-        scorer = Scorer(bank, graph, corpus,
-                        config=ScoreConfig(aggregator=agg))
-        row.append(scorer.cn(tokens, image))
-    print(f"{image:<12}" + "".join(f"{v:>12.4f}" for v in row))
+    print(f"{image:<12}" + "".join(f"{plan.score(image):>12.4f}" for plan in plans))
 
 print()
 print("tag-co-occurrence relatedness (no graph edges needed):")
+scorer = Scorer(bank, graph, corpus, config=ScoreConfig(
+    aggregator="max", relatedness="corpus-cooccurrence"))
+plan = scorer.plan(tokens)
 for image in bank.images:
-    scorer = Scorer(bank, graph, corpus, config=ScoreConfig(
-        aggregator="max", relatedness="corpus-cooccurrence"))
-    print(f"{image:<12}{scorer.cn(tokens, image):>12.4f}")
+    print(f"{image:<12}{plan.score(image):>12.4f}")

@@ -11,6 +11,9 @@ Run: python demos/03_evaluation_harness.py
 import random
 
 from cnretrieval import (
+    DETECTOR,
+    KNOWLEDGE,
+    STEM,
     CooccurrenceModel,
     DetectorBank,
     KnowledgeGraph,
@@ -48,15 +51,12 @@ queries = [
     QueryRecord("q3", "a man and his dog", frozenset({"img_beach"})),
 ]
 
-score_fns = {
-    "MIL": lambda q, i: scorer.mil_log(tokenize(q.text), i),
-    "MILSTEM": lambda q, i: scorer.milstem_log(tokenize(q.text), i),
-    "CN_MAX": lambda q, i: scorer.cn_log(tokenize(q.text), i),
-}
-reports = {
-    name: compute_report(queries, fn, bank.images)
-    for name, fn in score_fns.items()
-}
+reports = {}
+for name, tiers in (("MIL", DETECTOR), ("MILSTEM", STEM), ("CN_MAX", KNOWLEDGE)):
+    # compile each query once, then score every image with its plan
+    plans = {q.query_id: scorer.plan(tokenize(q.text), tiers) for q in queries}
+    reports[name] = compute_report(
+        queries, lambda q, i: plans[q.query_id].log_score(i), bank.images)
 print(format_table(reports))
 print()
 

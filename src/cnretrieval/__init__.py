@@ -28,19 +28,17 @@ from .knowledge import (
     KnowledgeGraph,
     Relation,
     RelatednessSource,
-    esp_related,
     parse_relations_csv,
 )
 from .scoring import (
     AGGREGATORS,
+    DETECTOR,
+    KNOWLEDGE,
+    STEM,
+    QueryPlan,
     ScoreConfig,
     Scorer,
     WordPartition,
-    aggregate_estimate,
-    cn_score,
-    mil_score,
-    milstem_score,
-    pair_estimate,
     partition_query,
 )
 from .text import STOPWORDS, Token, WordClassMap, stem, stem_set, tokenize
@@ -48,32 +46,30 @@ from .text import STOPWORDS, Token, WordClassMap, stem, stem_set, tokenize
 __all__ = [
     "AGGREGATORS",
     "CooccurrenceModel",
+    "DETECTOR",
     "DetectorBank",
     "EvalReport",
     "EvaluationError",
     "IngestError",
+    "KNOWLEDGE",
     "KnowledgeGraph",
     "NotDetectableError",
+    "QueryPlan",
     "QueryRecord",
     "Relation",
     "RelatednessSource",
     "ScoreConfig",
     "Scorer",
     "SnapshotError",
+    "STEM",
     "STOPWORDS",
     "Token",
     "UnknownImageError",
     "WordClassMap",
     "WordPartition",
-    "aggregate_estimate",
-    "cn_score",
     "compute_report",
-    "esp_related",
     "format_table",
     "load_queries",
-    "mil_score",
-    "milstem_score",
-    "pair_estimate",
     "parse_relations_csv",
     "partition_query",
     "rank_images",

@@ -23,22 +23,23 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 
-#: scorer name -> (uses graph score, config overrides)
+_ESP = {"relatedness": knowledge.CORPUS_COOCCURRENCE}
+_CN = {"relatedness": knowledge.GRAPH}
+
+#: scorer name -> (tiers kept, config overrides)
 SCORERS = {
-    "MIL": None,
-    "MILSTEM": None,
-    "ESP_MIN": {"relatedness": knowledge.CORPUS_COOCCURRENCE, "aggregator": scoring.MIN},
-    "ESP_MEAN_G": {"relatedness": knowledge.CORPUS_COOCCURRENCE,
-                   "aggregator": scoring.MEAN_GEOMETRIC},
-    "ESP_MEAN_A": {"relatedness": knowledge.CORPUS_COOCCURRENCE,
-                   "aggregator": scoring.MEAN_ARITHMETIC},
-    "ESP_MAX": {"relatedness": knowledge.CORPUS_COOCCURRENCE, "aggregator": scoring.MAX},
-    "CN_MIN": {"relatedness": knowledge.GRAPH, "aggregator": scoring.MIN},
-    "CN_MEAN_G": {"relatedness": knowledge.GRAPH, "aggregator": scoring.MEAN_GEOMETRIC},
-    "CN_MEAN_A": {"relatedness": knowledge.GRAPH, "aggregator": scoring.MEAN_ARITHMETIC},
-    "CN_MAX": {"relatedness": knowledge.GRAPH, "aggregator": scoring.MAX},
-    "CN_MAX_NN": {"relatedness": knowledge.GRAPH, "aggregator": scoring.MAX,
-                  "noun_only": True},
+    "MIL": (scoring.DETECTOR, {}),
+    "MILSTEM": (scoring.STEM, {}),
+    "ESP_MIN": (scoring.KNOWLEDGE, {**_ESP, "aggregator": scoring.MIN}),
+    "ESP_MEAN_G": (scoring.KNOWLEDGE, {**_ESP, "aggregator": scoring.MEAN_GEOMETRIC}),
+    "ESP_MEAN_A": (scoring.KNOWLEDGE, {**_ESP, "aggregator": scoring.MEAN_ARITHMETIC}),
+    "ESP_MAX": (scoring.KNOWLEDGE, {**_ESP, "aggregator": scoring.MAX}),
+    "CN_MIN": (scoring.KNOWLEDGE, {**_CN, "aggregator": scoring.MIN}),
+    "CN_MEAN_G": (scoring.KNOWLEDGE, {**_CN, "aggregator": scoring.MEAN_GEOMETRIC}),
+    "CN_MEAN_A": (scoring.KNOWLEDGE, {**_CN, "aggregator": scoring.MEAN_ARITHMETIC}),
+    "CN_MAX": (scoring.KNOWLEDGE, {**_CN, "aggregator": scoring.MAX}),
+    "CN_MAX_NN": (scoring.KNOWLEDGE, {**_CN, "aggregator": scoring.MAX,
+                                      "noun_only": True}),
 }
 
 
@@ -66,7 +67,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--stopwords", action=argparse.BooleanOptionalAction,
                        default=None, dest="stopword_filter")
         p.add_argument("--epsilon", type=float, dest="clamp_epsilon")
-        p.add_argument("--jobs", type=int, default=1)
         p.add_argument("--output", choices=["json", "table"], default="table")
 
     p_ingest = sub.add_parser("ingest", help="parse sources into a binary snapshot")
@@ -102,17 +102,26 @@ def resolve_config(args) -> ScoreConfig:
     if getattr(args, "config", None):
         with open(args.config, encoding="utf-8") as fh:
             file_values = json.load(fh)
+        if not isinstance(file_values, dict):
+            raise IngestError("expected a JSON object", path=args.config)
         known = {f.name for f in dataclass_fields(ScoreConfig)}
         unknown = set(file_values) - known
         if unknown:
             raise IngestError(f"unknown config keys: {sorted(unknown)}",
                               path=args.config)
+        try:
+            ScoreConfig(**file_values)
+        except (TypeError, ValueError) as exc:
+            raise IngestError(f"bad config value: {exc}", path=args.config) from None
         values.update(file_values)
     for field in dataclass_fields(ScoreConfig):
         flag_value = getattr(args, field.name, None)
         if flag_value is not None:
             values[field.name] = flag_value
-    return ScoreConfig(**values)
+    try:
+        return ScoreConfig(**values)
+    except ValueError as exc:
+        raise UsageError(f"bad option value: {exc}") from None
 
 
 def _load_scorer(args) -> Scorer:
@@ -122,15 +131,11 @@ def _load_scorer(args) -> Scorer:
     return Scorer(bank, graph, corpus, word_classes, config)
 
 
-def _score_fn(scorer: Scorer, name: str):
-    """Query-level log-score function for a named scorer (logs rank identically)."""
-    overrides = SCORERS[name]
-    if name == "MIL":
-        return lambda tokens, image: scorer.mil_log(tokens, image)
-    if name == "MILSTEM":
-        return lambda tokens, image: scorer.milstem_log(tokens, image)
-    variant = scorer.with_config(**overrides)
-    return lambda tokens, image: variant.cn_log(tokens, image)
+def _check_word_classes(scorer: Scorer, tiers: int = scoring.KNOWLEDGE) -> None:
+    if tiers >= scoring.KNOWLEDGE and scorer.config.noun_only \
+            and scorer.word_classes is None:
+        raise UsageError("noun-only scoring needs a snapshot ingested with "
+                         "--word-classes")
 
 
 def cmd_ingest(args) -> int:
@@ -152,6 +157,7 @@ def cmd_ingest(args) -> int:
 
 def cmd_classify(args) -> int:
     scorer = _load_scorer(args)
+    _check_word_classes(scorer)
     tokens = tokenize(args.query)
     partition = scorer.partition(tokens)
     listing = []
@@ -163,9 +169,8 @@ def cmd_classify(args) -> int:
             entry = {"word": word, "class": "stem-detectable",
                      "via": sorted(scorer.bank.st_det(word))}
         elif word in partition.cn_detectable:
-            related = scorer.relatedness.related_detectable(word, scorer.bank)
             entry = {"word": word, "class": "cn-detectable",
-                     "via": sorted(related)}
+                     "via": sorted(partition.related[word])}
         else:
             entry = {"word": word, "class": "undetected"}
         listing.append(entry)
@@ -182,10 +187,10 @@ def cmd_score(args) -> int:
     if args.top_k < 1:
         raise UsageError("--top-k must be at least 1")
     scorer = _load_scorer(args)
-    tokens = tokenize(args.query)
-    ranking = evaluation.rank_images(
-        scorer.bank.images, lambda img: scorer.cn_log(tokens, img))
-    top = [(image, scorer.cn(tokens, image)) for image, _ in ranking[: args.top_k]]
+    _check_word_classes(scorer)
+    plan = scorer.plan(tokenize(args.query))
+    ranking = evaluation.rank_images(scorer.bank.images, plan.log_score)
+    top = [(image, plan.score(image)) for image, _ in ranking[: args.top_k]]
     if args.output == "json":
         print(json.dumps([{"image": i, "score": s} for i, s in top], indent=2))
     else:
@@ -202,16 +207,21 @@ def cmd_eval(args) -> int:
     if unknown:
         raise UsageError(f"unknown scorers: {', '.join(unknown)}")
     scorer = _load_scorer(args)
+    variants = {}
+    for name in names:
+        tiers, overrides = SCORERS[name]
+        variant = scorer.with_config(**overrides)
+        _check_word_classes(variant, tiers)
+        variants[name] = tiers, variant
     queries = load_queries(args.queries)
     token_cache = {q.query_id: tokenize(q.text) for q in queries}
     reports: dict[str, EvalReport] = {}
-    for name in names:
-        fn = _score_fn(scorer, name)
+    for name, (tiers, variant) in variants.items():
+        plans = {qid: variant.plan(tokens, tiers) for qid, tokens in token_cache.items()}
         reports[name] = compute_report(
             queries,
-            lambda query, image, fn=fn: fn(token_cache[query.query_id], image),
+            lambda query, image, plans=plans: plans[query.query_id].log_score(image),
             scorer.bank.images,
-            jobs=args.jobs,
         )
     if args.output == "json":
         print(json.dumps({n: r.to_dict() for n, r in reports.items()}, indent=2))

@@ -22,38 +22,31 @@ class CooccurrenceModel:
     n_images: int
     tag_sets: dict[str, frozenset[str]]  # image id -> stemmed tag set
     df: dict[str, int]
-    _image_index: dict[str, frozenset[int]] = field(default_factory=dict, repr=False)
-    _pair_cache: dict[frozenset[str], int] = field(default_factory=dict, repr=False)
+    _image_index: dict[str, frozenset[str]] = field(default_factory=dict, repr=False)
 
     @classmethod
-    def build(cls, tagged_images, precompute_pairs: bool = False) -> "CooccurrenceModel":
+    def build(cls, tagged_images) -> "CooccurrenceModel":
         """Construct from (image id, iterable of raw tags) pairs."""
         tag_sets: dict[str, frozenset[str]] = {}
         df: dict[str, int] = {}
-        index: dict[str, set[int]] = {}
-        for position, (image, tags) in enumerate(tagged_images):
+        index: dict[str, set[str]] = {}  # stem -> ids of the images tagged with it
+        for image, tags in tagged_images:
             if image in tag_sets:
                 raise IngestError(f"duplicate image id {image!r}")
             stems = text.stem_set(t.lower() for t in tags)
             tag_sets[image] = stems
             for s in stems:
                 df[s] = df.get(s, 0) + 1
-                index.setdefault(s, set()).add(position)
-        model = cls(
+                index.setdefault(s, set()).add(image)
+        return cls(
             n_images=len(tag_sets),
             tag_sets=tag_sets,
             df=df,
-            _image_index={s: frozenset(p) for s, p in index.items()},
+            _image_index={s: frozenset(images) for s, images in index.items()},
         )
-        if precompute_pairs:
-            stems = sorted(df)
-            for i, a in enumerate(stems):
-                for b in stems[i:]:
-                    model.co_count(a, b)
-        return model
 
     @classmethod
-    def from_jsonl(cls, path, precompute_pairs: bool = False) -> "CooccurrenceModel":
+    def from_jsonl(cls, path) -> "CooccurrenceModel":
         """Load a tag corpus file: one ``{"image": ..., "tags": [...]}`` per line."""
         tagged = []
         seen = set()
@@ -76,21 +69,16 @@ class CooccurrenceModel:
                                       path=path, line=lineno)
                 seen.add(image)
                 tagged.append((image, [str(t) for t in obj["tags"]]))
-        return cls.build(tagged, precompute_pairs=precompute_pairs)
+        return cls.build(tagged)
 
     def co_count(self, a: str, b: str) -> int:
         """Number of images whose tag sets contain both stems (inputs are stemmed)."""
         a, b = text.stem(a), text.stem(b)
         if a == b:
             return self.df.get(a, 0)
-        key = frozenset((a, b))
-        cached = self._pair_cache.get(key)
-        if cached is None:
-            imgs_a = self._image_index.get(a)
-            imgs_b = self._image_index.get(b)
-            cached = len(imgs_a & imgs_b) if imgs_a and imgs_b else 0
-            self._pair_cache[key] = cached
-        return cached
+        imgs_a = self._image_index.get(a)
+        imgs_b = self._image_index.get(b)
+        return len(imgs_a & imgs_b) if imgs_a and imgs_b else 0
 
     def doc_freq(self, word: str) -> int:
         return self.df.get(text.stem(word), 0)
@@ -112,12 +100,8 @@ class CooccurrenceModel:
     def co_occurring(self, word: str) -> frozenset[str]:
         """All stems sharing at least one image with the stem of ``word``, itself excluded."""
         word_stem = text.stem(word)
-        positions = self._image_index.get(word_stem)
-        if not positions:
-            return frozenset()
         related: set[str] = set()
-        for tags in self.tag_sets.values():
-            if word_stem in tags:
-                related.update(tags)
+        for image in self._image_index.get(word_stem, ()):
+            related.update(self.tag_sets[image])
         related.discard(word_stem)
         return frozenset(related)

@@ -94,11 +94,14 @@ class DetectorBank:
         """Stored score for (image, word); 0 when the sparse entry is absent."""
         if word not in self._vocab_set:
             raise NotDetectableError(f"word {word!r} has no detector")
+        return self.row(image).get(word, 0.0)
+
+    def row(self, image: str) -> dict[str, float]:
+        """Sparse {word: score} row of ``image``."""
         try:
-            row = self.scores[image]
+            return self.scores[image]
         except KeyError:
             raise UnknownImageError(f"unknown image id {image!r}") from None
-        return row.get(word, 0.0)
 
     @property
     def _vocab_set(self) -> frozenset[str]:

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 import statistics
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .errors import EvaluationError, IngestError
@@ -74,27 +73,20 @@ def rank_of_ground_truth(ranking, ground_truth) -> int:
     return min(positions[g] for g in ground_truth)
 
 
-def compute_report(queries, score_fn, image_ids, ks=DEFAULT_KS,
-                   jobs: int = 1) -> EvalReport:
+def compute_report(queries, score_fn, image_ids, ks=DEFAULT_KS) -> EvalReport:
     """Rank every query over one shared image universe and summarize.
 
-    ``score_fn(query, image)`` must be total over the universe. Queries are
-    independent; ``jobs`` bounds optional fan-out without changing results.
+    ``score_fn(query, image)`` must be total over the universe.
     """
     queries = list(queries)
     if not queries:
         raise EvaluationError("no queries to evaluate")
     image_ids = list(image_ids)
-
-    def rank_one(query: QueryRecord) -> tuple[str, int]:
+    per_query = []
+    for query in queries:
         ranking = rank_images(image_ids, lambda img: score_fn(query, img))
-        return query.query_id, rank_of_ground_truth(ranking, query.ground_truth)
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            per_query = list(pool.map(rank_one, queries))
-    else:
-        per_query = [rank_one(q) for q in queries]
+        per_query.append((query.query_id,
+                          rank_of_ground_truth(ranking, query.ground_truth)))
 
     ranks = [r for _, r in per_query]
     r_at = {k: 100.0 * sum(1 for r in ranks if r <= k) / len(ranks) for k in ks}

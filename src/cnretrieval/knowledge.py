@@ -97,10 +97,6 @@ class KnowledgeGraph:
         # surface forms; keep stem-distinct neighbors only
         return frozenset(c for c in found if text.stem(c) != word_stem)
 
-    def cn_det(self, word: str, bank) -> frozenset[str]:
-        """Neighbors of ``word`` that have a stem-matching detector in ``bank``."""
-        return frozenset(c for c in self.neighbors(word) if bank.st_det(c))
-
     def edge_weight(self, a: str, b: str) -> float:
         """Best confidence among retained edges linking the stems of a and b; 0 if none."""
         return self.edge_weights.get(frozenset((text.stem(a), text.stem(b))), 0.0)
@@ -138,11 +134,6 @@ def parse_relations_csv(path) -> list[Relation]:
     return relations
 
 
-def esp_related(word: str, corpus) -> frozenset[str]:
-    """Stemmed tags that co-occur with ``word`` in at least one corpus image."""
-    return corpus.co_occurring(word)
-
-
 @dataclass(frozen=True)
 class RelatednessSource:
     """Where "related concepts" come from: graph edges or tag co-occurrence."""
@@ -161,11 +152,11 @@ class RelatednessSource:
         else:
             raise ValueError(f"unknown relatedness variant {self.variant!r}")
 
-    def related(self, word: str) -> frozenset[str]:
-        if self.variant == GRAPH:
-            return self.graph.neighbors(word)
-        return esp_related(word, self.corpus)
-
     def related_detectable(self, word: str, bank) -> frozenset[str]:
-        """Related concepts that have a stem-matching detector."""
-        return frozenset(c for c in self.related(word) if bank.st_det(c))
+        """Related concepts that have a stem-matching detector: graph neighbors,
+        or stemmed tags that co-occur with ``word`` in some corpus image."""
+        if self.variant == GRAPH:
+            related = self.graph.neighbors(word)
+        else:
+            related = self.corpus.co_occurring(word)
+        return frozenset(c for c in related if bank.st_det(c))

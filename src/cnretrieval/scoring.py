@@ -1,19 +1,22 @@
 """Query scoring: word partition, the multiplicative detector score and its
 stemming- and knowledge-graph-extended variants.
 
-All three scores run through one log-space product so that the reduction
-chain (graph score == stem score when no graph-detectable word exists, etc.)
-holds exactly, and 50-factor products of tiny probabilities still rank
+A query is compiled once into a :class:`QueryPlan` that holds everything
+that does not depend on the image; scoring an image then only looks up
+detector scores. The three scores are one product that keeps the first 1, 2
+or 3 tiers, so the reduction chain (graph score == stem score when no
+graph-detectable word exists, etc.) holds exactly. The product is taken in
+log space so that 50-factor products of tiny probabilities still rank
 correctly. Factors are clamped below at ``clamp_epsilon`` before taking logs.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from . import text
-from .errors import NotDetectableError
+from .detectors import DetectorBank
 from .knowledge import CORPUS_COOCCURRENCE, GRAPH, RelatednessSource
 
 MIN = "min"
@@ -26,6 +29,9 @@ CORPUS = "corpus"
 CONSTANT_ONE = "constant_one"
 GRAPH_WEIGHT = "graph_weight"
 ESTIMATORS = (CORPUS, CONSTANT_ONE, GRAPH_WEIGHT)
+
+#: how many tiers a plan keeps: MIL, MILSTEM, or the graph / co-occurrence score
+DETECTOR, STEM, KNOWLEDGE = 1, 2, 3
 
 
 @dataclass(frozen=True)
@@ -61,6 +67,8 @@ class WordPartition:
     stem_detectable: frozenset[str]
     cn_detectable: frozenset[str]
     undetected: frozenset[str]
+    #: the related detectable words of each cn_detectable word
+    related: dict[str, frozenset[str]]
 
 
 def log_product(factors, eps: float) -> float:
@@ -69,154 +77,91 @@ def log_product(factors, eps: float) -> float:
 
 
 def partition_query(tokens, bank, relatedness: RelatednessSource,
-                    config: ScoreConfig, word_classes=None) -> WordPartition:
-    """Assign each query word to its first matching tier.
+                    config: ScoreConfig, word_classes=None,
+                    tiers: int = KNOWLEDGE) -> WordPartition:
+    """Assign each query word to its first matching tier among the first ``tiers``.
 
     Order: detector word, stem-detectable, graph/corpus-detectable, undetected.
-    The stopword and noun-only filters gate only the third tier.
+    The stopword and noun-only filters gate only the third tier, which alone
+    consults ``relatedness`` and ``word_classes``.
     """
-    if config.noun_only and word_classes is None:
+    if tiers >= KNOWLEDGE and config.noun_only and word_classes is None:
         raise ValueError("noun_only filtering needs a word-class map")
-    detectable, stem_det, cn_det, undetected = set(), set(), set(), set()
+    detectable, stem_det, related, undetected = set(), set(), {}, set()
     for token in tokens:
         word = token.surface
         if bank.is_detectable(word):
             detectable.add(word)
-        elif bank.st_det(word):
+        elif tiers >= STEM and token.stem in bank.stem_index:
             stem_det.add(word)
-        elif _passes_cn_gate(word, relatedness, bank, config, word_classes):
-            cn_det.add(word)
+        elif tiers >= KNOWLEDGE and _passes_cn_gate(word, config, word_classes) \
+                and (found := relatedness.related_detectable(word, bank)):
+            related[word] = found
         else:
             undetected.add(word)
     return WordPartition(
         detectable=frozenset(detectable),
         stem_detectable=frozenset(stem_det),
-        cn_detectable=frozenset(cn_det),
+        cn_detectable=frozenset(related),
         undetected=frozenset(undetected),
+        related=related,
     )
 
 
-def _passes_cn_gate(word, relatedness, bank, config, word_classes) -> bool:
+def _passes_cn_gate(word, config, word_classes) -> bool:
     if config.stopword_filter and word in text.STOPWORDS:
         return False
-    if config.noun_only and word_classes.get(word) != text.NOUN:
-        return False
-    return bool(relatedness.related_detectable(word, bank))
+    return not config.noun_only or word_classes.get(word) == text.NOUN
 
 
-def pair_estimate(w: str, related: str, image: str, bank, cooccur,
-                  config: ScoreConfig, graph=None) -> float:
-    """Estimate of w's presence through one related detectable word.
-
-    Total-probability form: P(w|rel) * q + P(w|not rel) * (1 - q), where q is
-    the stem-max detector estimate for the related word. The constant-one
-    estimator collapses this to q; the graph-weight estimator scales q by the
-    edge confidence normalized to the strongest retained edge.
-    """
-    q = bank.stem_max_estimate(related, image)
-    estimator = config.conditional_estimator
-    if estimator == CORPUS:
-        if cooccur is None:
-            raise ValueError("corpus estimator needs a co-occurrence model")
-        return cooccur.cond_prob(w, related) * q \
-            + cooccur.cond_prob_neg(w, related) * (1.0 - q)
-    if estimator == CONSTANT_ONE:
-        return q
-    if graph is None:
-        raise ValueError("graph_weight estimator needs a knowledge graph")
-    return min(graph.edge_weight(w, related) / graph.max_weight, 1.0) * q
-
-
-def aggregate_estimate(w: str, image: str, bank, relatedness: RelatednessSource,
-                       cooccur, config: ScoreConfig) -> float:
-    """Aggregate pair estimates over all related detectable words."""
-    related = sorted(relatedness.related_detectable(w, bank))
-    if not related:
-        raise NotDetectableError(f"word {w!r} has no related detectable concept")
-    estimates = [
-        pair_estimate(w, r, image, bank, cooccur, config, graph=relatedness.graph)
-        for r in related
-    ]
-    agg = config.aggregator
-    if agg == MIN:
+def _aggregate(estimates, aggregator: str) -> float:
+    if aggregator == MIN:
         return min(estimates)
-    if agg == MAX:
+    if aggregator == MAX:
         return max(estimates)
-    if agg == MEAN_ARITHMETIC:
+    if aggregator == MEAN_ARITHMETIC:
         return sum(estimates) / len(estimates)
     return math.prod(estimates) ** (1.0 / len(estimates))
 
 
-def _mil_factors(partition, image, bank):
-    return [bank.detector_score(image, w) for w in sorted(partition.detectable)]
-
-def _stem_factors(partition, image, bank):
-    return [bank.stem_max_estimate(w, image) for w in sorted(partition.stem_detectable)]
-
-def _cn_factors(partition, image, bank, relatedness, cooccur, config):
-    return [
-        aggregate_estimate(w, image, bank, relatedness, cooccur, config)
-        for w in sorted(partition.cn_detectable)
-    ]
+#: One estimate of a word's presence: (stem class, c1, c0). For an image it
+#: is c1*q + c0*(1-q), with q the best detector score in the stem class.
+Term = tuple[tuple[str, ...], float, float]
 
 
-def mil_log_score(tokens, image, bank, config=None) -> float:
-    config = config or ScoreConfig()
-    detectable = frozenset(t.surface for t in tokens if bank.is_detectable(t.surface))
-    factors = [bank.detector_score(image, w) for w in sorted(detectable)]
-    return log_product(factors, config.clamp_epsilon)
+@dataclass(frozen=True)
+class QueryPlan:
+    """The image-independent part of one query's score, compiled once.
 
+    ``factors`` holds one (aggregator, terms) pair per scored word, in sum
+    order: sorted detector words, sorted stem words, then sorted knowledge
+    words. A detector or stem word is a single term; a knowledge word has one
+    term per related detectable word, in sorted order.
+    """
 
-def mil_score(tokens, image, bank, config=None) -> float:
-    """Product of detector scores over the query's vocabulary words; 1 if none."""
-    return math.exp(mil_log_score(tokens, image, bank, config))
+    bank: DetectorBank
+    factors: tuple[tuple[str, tuple[Term, ...]], ...]
+    clamp_epsilon: float
 
+    def factor_values(self, image: str) -> list[float]:
+        """Each word's estimate for ``image``, in sum order."""
+        row = self.bank.row(image)
+        values = []
+        for aggregator, terms in self.factors:
+            estimates = []
+            for stem_class, c1, c0 in terms:
+                q = max(row.get(w, 0.0) for w in stem_class)
+                estimates.append(c1 * q + c0 * (1.0 - q))
+            values.append(_aggregate(estimates, aggregator))
+        return values
 
-def milstem_log_score(tokens, image, bank, config=None) -> float:
-    config = config or ScoreConfig()
-    partition = _detector_only_partition(tokens, bank)
-    factors = _mil_factors(partition, image, bank) + _stem_factors(partition, image, bank)
-    return log_product(factors, config.clamp_epsilon)
+    def log_score(self, image: str) -> float:
+        """Log of the score; ranks like :meth:`score` but never underflows."""
+        return log_product(self.factor_values(image), self.clamp_epsilon)
 
-
-def milstem_score(tokens, image, bank, config=None) -> float:
-    """Detector product extended with stem-max estimates for stem-detectable words."""
-    return math.exp(milstem_log_score(tokens, image, bank, config))
-
-
-def cn_log_score(tokens, image, bank, relatedness, cooccur,
-                 config: ScoreConfig, word_classes=None) -> float:
-    partition = partition_query(tokens, bank, relatedness, config, word_classes)
-    factors = (
-        _mil_factors(partition, image, bank)
-        + _stem_factors(partition, image, bank)
-        + _cn_factors(partition, image, bank, relatedness, cooccur, config)
-    )
-    return log_product(factors, config.clamp_epsilon)
-
-
-def cn_score(tokens, image, bank, relatedness, cooccur,
-             config: ScoreConfig, word_classes=None) -> float:
-    """Stem-extended score further extended with aggregated related-word estimates."""
-    return math.exp(cn_log_score(tokens, image, bank, relatedness, cooccur,
-                                 config, word_classes))
-
-
-def _detector_only_partition(tokens, bank) -> WordPartition:
-    detectable, stem_det, rest = set(), set(), set()
-    for token in tokens:
-        if bank.is_detectable(token.surface):
-            detectable.add(token.surface)
-        elif bank.st_det(token.surface):
-            stem_det.add(token.surface)
-        else:
-            rest.add(token.surface)
-    return WordPartition(
-        detectable=frozenset(detectable),
-        stem_detectable=frozenset(stem_det),
-        cn_detectable=frozenset(),
-        undetected=frozenset(rest),
-    )
+    def score(self, image: str) -> float:
+        """Product of the clamped factors; 1 when the query has none."""
+        return math.exp(self.log_score(image))
 
 
 class Scorer:
@@ -229,16 +174,8 @@ class Scorer:
         self.cooccur = cooccur
         self.word_classes = word_classes
         self.config = config or ScoreConfig()
-        if self.config.relatedness == GRAPH:
-            if graph is None:
-                raise ValueError("graph relatedness needs a knowledge graph")
-            self.relatedness = RelatednessSource(variant=GRAPH, graph=graph,
-                                                 corpus=cooccur)
-        else:
-            if cooccur is None:
-                raise ValueError("corpus relatedness needs a co-occurrence model")
-            self.relatedness = RelatednessSource(variant=CORPUS_COOCCURRENCE,
-                                                 graph=graph, corpus=cooccur)
+        self.relatedness = RelatednessSource(variant=self.config.relatedness,
+                                             graph=graph, corpus=cooccur)
 
     def with_config(self, **overrides) -> "Scorer":
         return Scorer(self.bank, self.graph, self.cooccur, self.word_classes,
@@ -248,22 +185,42 @@ class Scorer:
         return partition_query(tokens, self.bank, self.relatedness, self.config,
                                self.word_classes)
 
-    def mil(self, tokens, image) -> float:
-        return mil_score(tokens, image, self.bank, self.config)
+    def plan(self, tokens, tiers: int = KNOWLEDGE) -> QueryPlan:
+        """Compile ``tokens`` for scoring with the first ``tiers`` tiers:
+        DETECTOR (MIL), STEM (MILSTEM) or KNOWLEDGE (graph / co-occurrence)."""
+        partition = partition_query(tokens, self.bank, self.relatedness,
+                                    self.config, self.word_classes, tiers)
+        stems = {t.surface: t.stem for t in tokens}
+        # a one-term factor is its term's estimate whatever the aggregator
+        factors = [(MAX, (((w,), 1.0, 0.0),)) for w in sorted(partition.detectable)]
+        factors += [
+            (MAX, ((tuple(self.bank.stem_index[stems[w]]), 1.0, 0.0),))
+            for w in sorted(partition.stem_detectable)
+        ]
+        factors += [
+            (self.config.aggregator, tuple(
+                (tuple(self.bank.st_det(r)), *self._coefficients(w, r))
+                for r in sorted(partition.related[w])))
+            for w in sorted(partition.cn_detectable)
+        ]
+        return QueryPlan(self.bank, tuple(factors), self.config.clamp_epsilon)
 
-    def milstem(self, tokens, image) -> float:
-        return milstem_score(tokens, image, self.bank, self.config)
+    def _coefficients(self, w: str, related: str) -> tuple[float, float]:
+        """(c1, c0) of w's estimate through one related detectable word.
 
-    def cn(self, tokens, image) -> float:
-        return cn_score(tokens, image, self.bank, self.relatedness, self.cooccur,
-                        self.config, self.word_classes)
-
-    def mil_log(self, tokens, image) -> float:
-        return mil_log_score(tokens, image, self.bank, self.config)
-
-    def milstem_log(self, tokens, image) -> float:
-        return milstem_log_score(tokens, image, self.bank, self.config)
-
-    def cn_log(self, tokens, image) -> float:
-        return cn_log_score(tokens, image, self.bank, self.relatedness, self.cooccur,
-                            self.config, self.word_classes)
+        Total-probability form: P(w|rel) * q + P(w|not rel) * (1 - q). The
+        constant-one estimator collapses this to q; the graph-weight
+        estimator scales q by the edge confidence normalized to the strongest
+        retained edge.
+        """
+        estimator = self.config.conditional_estimator
+        if estimator == CORPUS:
+            if self.cooccur is None:
+                raise ValueError("corpus estimator needs a co-occurrence model")
+            return (self.cooccur.cond_prob(w, related),
+                    self.cooccur.cond_prob_neg(w, related))
+        if estimator == CONSTANT_ONE:
+            return 1.0, 0.0
+        if self.graph is None:
+            raise ValueError("graph_weight estimator needs a knowledge graph")
+        return min(self.graph.edge_weight(w, related) / self.graph.max_weight, 1.0), 0.0

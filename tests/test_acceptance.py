@@ -14,6 +14,8 @@ import numpy as np
 import pytest
 
 from cnretrieval import (
+    DETECTOR,
+    STEM,
     CooccurrenceModel,
     DetectorBank,
     KnowledgeGraph,
@@ -105,12 +107,14 @@ def test_oracle_equivalence_on_tiny_world():
             for query in queries:
                 tokens = tokenize(query)
                 words = [t.surface for t in tokens]
+                mil, milstem = scorer.plan(tokens, DETECTOR), scorer.plan(tokens, STEM)
+                cn = scorer.plan(tokens)
                 for image in world.images:
-                    assert scorer.mil(tokens, image) == pytest.approx(
+                    assert mil.score(image) == pytest.approx(
                         oracle.mil(world, words, image), rel=1e-9, abs=1e-300)
-                    assert scorer.milstem(tokens, image) == pytest.approx(
+                    assert milstem.score(image) == pytest.approx(
                         oracle.milstem(world, words, image), rel=1e-9, abs=1e-300)
-                    assert scorer.cn(tokens, image) == pytest.approx(
+                    assert cn.score(image) == pytest.approx(
                         oracle.cn(world, words, image, aggregator=aggregator),
                         rel=1e-9, abs=1e-300)
         assert time.perf_counter() - start < 1.0
@@ -127,14 +131,16 @@ def test_reduction_chain_randomized():
             partition = scorer.partition(tokens)
 
             no_cn = [t for t in tokens if t.surface not in partition.cn_detectable]
-            assert scorer.cn(no_cn, image) == scorer.milstem(no_cn, image)
+            assert scorer.plan(no_cn).score(image) == \
+                scorer.plan(no_cn, STEM).score(image)
 
             no_stem = [t for t in no_cn
                        if t.surface not in partition.stem_detectable]
-            assert scorer.milstem(no_stem, image) == scorer.mil(no_stem, image)
+            assert scorer.plan(no_stem, STEM).score(image) == \
+                scorer.plan(no_stem, DETECTOR).score(image)
 
             undetectable = [t for t in tokens if not scorer.bank.st_det(t.surface)]
-            assert scorer.mil(undetectable, image) == 1.0
+            assert scorer.plan(undetectable, DETECTOR).score(image) == 1.0
 
 
 def test_aggregator_ordering_randomized():
@@ -146,7 +152,7 @@ def test_aggregator_ordering_randomized():
             tokens = tokenize(f"{random_query(rng, world)} {cn_word}")
             image = rng.choice(world.images)
             values = [
-                build_scorer(world, aggregator=agg).cn(tokens, image)
+                build_scorer(world, aggregator=agg).plan(tokens).score(image)
                 for agg in ("min", "mean_geometric", "mean_arithmetic", "max")
             ]
             for lo, hi in zip(values, values[1:]):
@@ -190,9 +196,9 @@ def test_underflow_ranking_matches_rational_oracle():
         words = vocab
 
         log_ranking = [img for img, _ in rank_images(
-            world.images, lambda img: scorer.mil_log(tokens, img))]
+            world.images, scorer.plan(tokens, DETECTOR).log_score)]
         cn_ranking = [img for img, _ in rank_images(
-            world.images, lambda img: scorer.cn_log(tokens, img))]
+            world.images, scorer.plan(tokens).log_score)]
         exact = sorted(world.images,
                        key=lambda img: (-oracle.mil_exact(world, words, img), img))
         assert log_ranking == exact
@@ -306,9 +312,8 @@ def test_end_to_end_chef_scenario():
         assert graph.neighbors("chef") == {"person", "dish", "kitchen"}
         assert not bank.st_det("chef")
 
-        cn_ranking = rank_images(bank.images, lambda i: scorer.cn_log(tokens, i))
-        milstem_ranking = rank_images(bank.images,
-                                      lambda i: scorer.milstem_log(tokens, i))
+        cn_ranking = rank_images(bank.images, scorer.plan(tokens).log_score)
+        milstem_ranking = rank_images(bank.images, scorer.plan(tokens, STEM).log_score)
         cn_rank = [img for img, _ in cn_ranking].index("img_kitchen") + 1
         milstem_rank = [img for img, _ in milstem_ranking].index("img_kitchen") + 1
         assert cn_rank == 1

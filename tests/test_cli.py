@@ -28,6 +28,27 @@ def snap(tiny_files, capsys):
     return path
 
 
+@pytest.fixture
+def snap_without_word_classes(tiny_files, capsys):
+    path = tiny_files["dir"] / "no-classes.snap"
+    code = cli.main([
+        "ingest",
+        "--detectors", str(tiny_files["detectors"]),
+        "--graph", str(tiny_files["graph"]),
+        "--corpus", str(tiny_files["corpus"]),
+        "--snapshot", str(path),
+    ])
+    capsys.readouterr()
+    assert code == 0
+    return path
+
+
+def assert_one_line_error(err, fragment):
+    assert err.startswith("cnretrieval: error:")
+    assert err.count("\n") == 1
+    assert fragment in err
+
+
 class TestIngest:
     def test_reingest_is_byte_identical(self, tiny_files, snap, capsys):
         other = tiny_files["dir"] / "again.snap"
@@ -105,6 +126,20 @@ class TestScore:
                                     "--top-k", "0"])
         assert code == 1
 
+    def test_bad_epsilon_exits_1(self, snap, capsys):
+        code, _, err = run(capsys, ["score", "chef", "--snapshot", snap,
+                                    "--epsilon", "5"])
+        assert code == 1
+        assert_one_line_error(err, "clamp_epsilon")
+
+    @pytest.mark.parametrize("command", ["score", "classify"])
+    def test_noun_only_without_word_classes_exits_1(
+            self, snap_without_word_classes, command, capsys):
+        code, _, err = run(capsys, [command, "chef", "--snapshot",
+                                    snap_without_word_classes, "--noun-only"])
+        assert code == 1
+        assert_one_line_error(err, "--word-classes")
+
 
 class TestEval:
     @pytest.fixture
@@ -137,7 +172,7 @@ class TestEval:
         scorer = Scorer(bank, graph, corpus, word_classes, ScoreConfig())
         direct = compute_report(
             load_queries(queries),
-            lambda q, img: scorer.cn_log(tokenize(q.text), img),
+            lambda q, img: scorer.plan(tokenize(q.text)).log_score(img),
             bank.images)
         assert via_cli == direct.to_dict()
 
@@ -158,13 +193,12 @@ class TestEval:
                                   "--queries", queries, "--scorers", ","])
         assert code == 1
 
-    def test_jobs_flag_identical_output(self, snap, queries, capsys):
-        base = run(capsys, ["eval", "--snapshot", snap, "--queries", queries,
-                            "--scorers", "CN_MAX", "--output", "json"])
-        jobs4 = run(capsys, ["eval", "--snapshot", snap, "--queries", queries,
-                             "--scorers", "CN_MAX", "--output", "json",
-                             "--jobs", "4"])
-        assert base == jobs4
+    def test_noun_only_scorer_without_word_classes_exits_1(
+            self, snap_without_word_classes, queries, capsys):
+        code, _, err = run(capsys, ["eval", "--snapshot", snap_without_word_classes,
+                                    "--queries", queries, "--scorers", "MIL,CN_MAX_NN"])
+        assert code == 1
+        assert_one_line_error(err, "--word-classes")
 
 
 class TestConfigPrecedence:
@@ -188,3 +222,12 @@ class TestConfigPrecedence:
         code, _, err = run(capsys, ["score", "a chef", "--snapshot", snap,
                                     "--config", config])
         assert code == 2
+
+    @pytest.mark.parametrize("content", [{"min_weight": "x"}, 5])
+    def test_bad_config_value_exits_2(self, snap, tiny_files, content, capsys):
+        config = tiny_files["dir"] / "config.json"
+        config.write_text(json.dumps(content))
+        code, _, err = run(capsys, ["score", "chef", "--snapshot", snap,
+                                    "--config", config])
+        assert code == 2
+        assert_one_line_error(err, str(config))

@@ -57,15 +57,6 @@ class TestIngest:
         assert model.n_images == 5
         assert model.df["chef"] == 2
 
-    def test_precompute_matches_lazy(self):
-        rng = random.Random(3)
-        tagged = random_corpus(rng)
-        lazy = CooccurrenceModel.build(tagged)
-        eager = CooccurrenceModel.build(tagged, precompute_pairs=True)
-        for a in TAG_POOL:
-            for b in TAG_POOL:
-                assert lazy.cond_prob(a, b) == eager.cond_prob(a, b)
-
 
 class TestCondProb:
     @pytest.fixture

@@ -112,15 +112,6 @@ class TestComputeReport:
             images)
         assert base == warped
 
-    def test_jobs_do_not_change_results(self):
-        rng = random.Random(12)
-        images = [f"i{n}" for n in range(30)]
-        scores = {(q, img): rng.random() for q in range(8) for img in images}
-        queries = make_queries(8, lambda i: [rng.choice(images)])
-        fn = lambda q, img: scores[(int(q.query_id[1:]), img)]
-        assert compute_report(queries, fn, images) == \
-            compute_report(queries, fn, images, jobs=4)
-
 
 class TestQueryRecords:
     def test_load_queries(self, tmp_path):

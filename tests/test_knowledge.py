@@ -7,7 +7,6 @@ from cnretrieval import (
     KnowledgeGraph,
     Relation,
     RelatednessSource,
-    esp_related,
 )
 
 import oracle
@@ -77,40 +76,44 @@ class TestNeighbors:
                 assert graph.neighbors(word) == oracle.neighbors(world, word)
 
 
+def cn_det(graph, word, bank):
+    return RelatednessSource(variant="graph", graph=graph).related_detectable(word, bank)
+
+
 class TestCnDet:
     def test_filters_to_detectable(self, bank):
         g = KnowledgeGraph.from_relations([
             Relation("IsA", "tuxedo", "jacket", 1.5),
             Relation("RelatedTo", "tuxedo", "prom", 1.0),
         ])
-        assert g.cn_det("tuxedo", bank) == {"jacket"}
+        assert cn_det(g, "tuxedo", bank) == {"jacket"}
 
     def test_none_detectable(self, bank):
         g = KnowledgeGraph.from_relations([Relation("IsA", "ghost", "spirit", 1.0)])
-        assert g.cn_det("ghost", bank) == frozenset()
+        assert cn_det(g, "ghost", bank) == frozenset()
 
     def test_bagel_via_doughnut_and_bread(self, graph, bank):
-        assert graph.cn_det("bagel", bank) == {"doughnut", "bread"}
+        assert cn_det(graph, "bagel", bank) == {"doughnut", "bread"}
 
 
 class TestEspRelated:
     def test_cooccurring_tag(self, corpus):
-        assert "grass" in esp_related("dog", corpus)
+        assert "grass" in corpus.co_occurring("dog")
 
     def test_absent_word(self, corpus):
-        assert esp_related("zebra", corpus) == frozenset()
+        assert corpus.co_occurring("zebra") == frozenset()
 
     def test_hotel_resort(self, corpus):
-        assert "resort" in esp_related("hotel", corpus)
+        assert "resort" in corpus.co_occurring("hotel")
 
     def test_symmetric(self, corpus):
         tags = {"dog", "grass", "man", "person", "chef", "kitchen", "dish"}
         for a in tags:
             for b in tags:
-                assert (b in esp_related(a, corpus)) == (a in esp_related(b, corpus))
+                assert (b in corpus.co_occurring(a)) == (a in corpus.co_occurring(b))
 
     def test_excludes_own_stem(self, corpus):
-        assert "dog" not in esp_related("dogs", corpus)
+        assert "dog" not in corpus.co_occurring("dogs")
 
 
 class TestIngestCsv:

@@ -4,20 +4,29 @@ import random
 import pytest
 
 from cnretrieval import (
-    NotDetectableError,
+    DETECTOR,
+    KNOWLEDGE,
+    STEM,
+    KnowledgeGraph,
+    Relation,
     ScoreConfig,
     Scorer,
-    aggregate_estimate,
-    cn_score,
-    mil_score,
-    milstem_score,
-    pair_estimate,
+    UnknownImageError,
     partition_query,
     tokenize,
 )
 from cnretrieval.scoring import log_product
 
 import oracle
+
+
+def pair_estimate(word, related, image, bank, cooccur, weight=1.0, **config):
+    """Estimate of ``word``'s presence through ``related`` alone: the only
+    factor of the one-word query when the graph has just the edge between them."""
+    graph = KnowledgeGraph.from_relations([Relation("RelatedTo", word, related, weight)])
+    scorer = Scorer(bank, graph, cooccur, config=ScoreConfig(**config))
+    [factor] = scorer.plan(tokenize(word)).factor_values(image)
+    return factor
 
 
 class TestScoreConfig:
@@ -87,33 +96,62 @@ class TestPartition:
         s = Scorer(bank, graph, corpus, None, ScoreConfig(noun_only=True))
         with pytest.raises(ValueError):
             s.partition(tokenize("chef"))
+        with pytest.raises(ValueError):
+            s.plan(tokenize("chef"))
+        # the detector and stem tiers never consult word classes
+        assert s.plan(tokenize("chef dogs"), STEM).score("img_park") == \
+            pytest.approx(0.9)
+        assert s.plan(tokenize("chef dogs"), DETECTOR).score("img_park") == 1.0
+
+    def test_plan_partition_stops_at_tiers(self, scorer):
+        tokens = tokenize("man dogs chef")
+        mil = partition_query(tokens, scorer.bank, scorer.relatedness, scorer.config,
+                              tiers=DETECTOR)
+        milstem = partition_query(tokens, scorer.bank, scorer.relatedness,
+                                  scorer.config, tiers=STEM)
+        assert mil.undetected == {"dogs", "chef"}
+        assert milstem.stem_detectable == {"dogs"}
+        assert milstem.undetected == {"chef"}
+        assert scorer.partition(tokens).related == {
+            "chef": {"person", "dish", "kitchen"}}
 
 
 class TestMilScore:
     def test_product(self, scorer):
         # img_beach: man 0.8, dog 0.6
-        assert scorer.mil(tokenize("man dog"), "img_beach") == pytest.approx(0.48)
+        assert scorer.plan(tokenize("man dog"), DETECTOR).score("img_beach") == \
+            pytest.approx(0.48)
 
     def test_empty_product_is_one(self, scorer):
-        assert scorer.mil(tokenize("chef zebra"), "img_beach") == 1.0
+        assert scorer.plan(tokenize("chef zebra"), DETECTOR).score("img_beach") == 1.0
 
-    def test_three_factors(self, bank):
+    def test_three_factors(self, scorer):
         tokens = tokenize("person dish kitchen")
-        score = mil_score(tokens, "img_kitchen", bank)
+        score = scorer.plan(tokens, DETECTOR).score("img_kitchen")
         assert score == pytest.approx(0.9 * 0.8 * 0.95)
 
     def test_repeated_word_counts_once(self, scorer):
-        once = scorer.mil(tokenize("dog"), "img_beach")
-        thrice = scorer.mil(tokenize("dog dog DOG"), "img_beach")
+        once = scorer.plan(tokenize("dog"), DETECTOR).score("img_beach")
+        thrice = scorer.plan(tokenize("dog dog DOG"), DETECTOR).score("img_beach")
         assert once == thrice
 
-    def test_monotone_in_detector_score(self, bank, scorer):
+    def test_monotone_in_detector_score(self, bank, graph, scorer):
         from cnretrieval import DetectorBank
         raised = dict(bank.scores)
         raised["img_beach"] = {**raised["img_beach"], "dog": 0.9}
         bank2 = DetectorBank.build(bank.vocab, raised)
-        assert mil_score(tokenize("man dog"), "img_beach", bank2) >= \
-            scorer.mil(tokenize("man dog"), "img_beach")
+        tokens = tokenize("man dog")
+        assert Scorer(bank2, graph).plan(tokens, DETECTOR).score("img_beach") >= \
+            scorer.plan(tokens, DETECTOR).score("img_beach")
+
+    @pytest.mark.parametrize("tiers", [DETECTOR, STEM, KNOWLEDGE])
+    @pytest.mark.parametrize("query", ["dog", "dogs", "chef", "zebra"])
+    def test_unknown_image_raises_for_every_query(self, scorer, tiers, query):
+        plan = scorer.plan(tokenize(query), tiers)
+        with pytest.raises(UnknownImageError):
+            plan.log_score("nope")
+        with pytest.raises(UnknownImageError):
+            plan.score("nope")
 
 
 class TestPairEstimate:
@@ -121,13 +159,12 @@ class TestPairEstimate:
         # chef|kitchen: co=1, df[kitchen]=1 -> cond=1.0
         # cond_neg = (2 - 1) / (5 - 1) = 0.25; q = 0.95 on img_kitchen
         value = pair_estimate("chef", "kitchen", "img_kitchen", scorer.bank,
-                              scorer.cooccur, scorer.config, graph=scorer.graph)
+                              scorer.cooccur)
         assert value == pytest.approx(1.0 * 0.95 + 0.25 * 0.05)
 
     def test_constant_one_collapses_to_detector(self, scorer):
-        config = ScoreConfig(conditional_estimator="constant_one")
         value = pair_estimate("chef", "kitchen", "img_kitchen", scorer.bank,
-                              scorer.cooccur, config)
+                              scorer.cooccur, conditional_estimator="constant_one")
         assert value == scorer.bank.stem_max_estimate("kitchen", "img_kitchen")
 
     def test_degenerate_convexity(self):
@@ -141,20 +178,20 @@ class TestPairEstimate:
         assert corpus.cond_prob_neg("hotel", "resort") == 0.5
         for q in (0.0, 0.25, 0.9):
             bank = DetectorBank.build(["resort"], {"imgA": {"resort": q}})
-            value = pair_estimate("hotel", "resort", "imgA", bank, corpus,
-                                  ScoreConfig())
+            value = pair_estimate("hotel", "resort", "imgA", bank, corpus)
             assert value == pytest.approx(0.5)
 
     def test_requires_stem_detector(self, scorer):
-        with pytest.raises(NotDetectableError):
-            pair_estimate("chef", "zebra", "img_kitchen", scorer.bank,
-                          scorer.cooccur, scorer.config)
+        # a related word without a stem-matching detector yields no estimate
+        graph = KnowledgeGraph.from_relations([Relation("RelatedTo", "chef", "zebra", 1.0)])
+        plan = Scorer(scorer.bank, graph, scorer.cooccur).plan(tokenize("chef"))
+        assert plan.factor_values("img_kitchen") == []
 
     def test_graph_weight_estimator(self, scorer):
-        config = ScoreConfig(conditional_estimator="graph_weight")
         q = scorer.bank.stem_max_estimate("person", "img_kitchen")
         value = pair_estimate("chef", "person", "img_kitchen", scorer.bank,
-                              scorer.cooccur, config, graph=scorer.graph)
+                              scorer.cooccur, weight=2.5,
+                              conditional_estimator="graph_weight")
         assert value == pytest.approx((2.5 / scorer.graph.max_weight) * q)
 
     def test_bounded_by_conditionals(self, scorer):
@@ -162,7 +199,7 @@ class TestPairEstimate:
             cond = scorer.cooccur.cond_prob("chef", "kitchen")
             cond_neg = scorer.cooccur.cond_prob_neg("chef", "kitchen")
             value = pair_estimate("chef", "kitchen", image, scorer.bank,
-                                  scorer.cooccur, scorer.config)
+                                  scorer.cooccur)
             assert min(cond, cond_neg) - 1e-12 <= value <= max(cond, cond_neg) + 1e-12
 
 
@@ -185,26 +222,21 @@ class TestAggregateEstimate:
                                             "mean_geometric"])
     def test_singleton_all_agree(self, scorer, aggregator):
         variant = scorer.with_config(aggregator=aggregator)
-        value = aggregate_estimate("tuxedo", "img_beach", variant.bank,
-                                   variant.relatedness, variant.cooccur,
-                                   variant.config)
+        [value] = variant.plan(tokenize("tuxedo")).factor_values("img_beach")
         expected = pair_estimate("tuxedo", "jacket", "img_beach", scorer.bank,
-                                 scorer.cooccur, scorer.config, graph=scorer.graph)
+                                 scorer.cooccur)
         assert value == pytest.approx(expected)
 
     def test_empty_relatedness_rejected(self, scorer):
-        with pytest.raises(NotDetectableError):
-            aggregate_estimate("zebra", "img_beach", scorer.bank,
-                               scorer.relatedness, scorer.cooccur, scorer.config)
+        # a word with no related detectable concept contributes no factor
+        assert scorer.plan(tokenize("zebra")).factor_values("img_beach") == []
 
     def test_aggregator_ordering(self, scorer):
         for image in scorer.bank.images:
             values = {}
             for agg in ("min", "mean_geometric", "mean_arithmetic", "max"):
                 variant = scorer.with_config(aggregator=agg)
-                values[agg] = aggregate_estimate(
-                    "chef", image, variant.bank, variant.relatedness,
-                    variant.cooccur, variant.config)
+                [values[agg]] = variant.plan(tokenize("chef")).factor_values(image)
             assert values["min"] <= values["mean_geometric"] + 1e-12
             assert values["mean_geometric"] <= values["mean_arithmetic"] + 1e-12
             assert values["mean_arithmetic"] <= values["max"] + 1e-12
@@ -213,18 +245,20 @@ class TestAggregateEstimate:
 class TestReductionChain:
     def test_cn_equals_milstem_without_cn_words(self, scorer):
         tokens = tokenize("man dogs")
+        cn, milstem = scorer.plan(tokens), scorer.plan(tokens, STEM)
         for image in scorer.bank.images:
-            assert scorer.cn(tokens, image) == scorer.milstem(tokens, image)
+            assert cn.score(image) == milstem.score(image)
 
     def test_milstem_equals_mil_without_stem_words(self, scorer):
         tokens = tokenize("man dog")
+        milstem, mil = scorer.plan(tokens, STEM), scorer.plan(tokens, DETECTOR)
         for image in scorer.bank.images:
-            assert scorer.milstem(tokens, image) == scorer.mil(tokens, image)
+            assert milstem.score(image) == mil.score(image)
 
     def test_mil_is_one_when_nothing_detectable(self, scorer):
-        tokens = tokenize("chef zebra")
+        mil = scorer.plan(tokenize("chef zebra"), DETECTOR)
         for image in scorer.bank.images:
-            assert scorer.mil(tokens, image) == 1.0
+            assert mil.score(image) == 1.0
 
 
 class TestScoresAgainstOracle:
@@ -251,12 +285,14 @@ class TestScoresAgainstOracle:
         variant = scorer.with_config(aggregator=aggregator)
         tokens = tokenize(query)
         words = [t.surface for t in tokens]
+        mil, milstem = variant.plan(tokens, DETECTOR), variant.plan(tokens, STEM)
+        cn = variant.plan(tokens)
         for image in bank.images:
-            assert variant.mil(tokens, image) == \
+            assert mil.score(image) == \
                 pytest.approx(oracle.mil(world, words, image), rel=1e-9)
-            assert variant.milstem(tokens, image) == \
+            assert milstem.score(image) == \
                 pytest.approx(oracle.milstem(world, words, image), rel=1e-9)
-            assert variant.cn(tokens, image) == \
+            assert cn.score(image) == \
                 pytest.approx(oracle.cn(world, words, image, aggregator=aggregator),
                               rel=1e-9)
 
@@ -265,8 +301,9 @@ class TestScoresAgainstOracle:
         variant = scorer.with_config(relatedness="corpus-cooccurrence")
         tokens = tokenize("a chef cooking")
         words = [t.surface for t in tokens]
+        cn = variant.plan(tokens)
         for image in bank.images:
-            assert variant.cn(tokens, image) == pytest.approx(
+            assert cn.score(image) == pytest.approx(
                 oracle.cn(world, words, image, relatedness="esp"), rel=1e-9)
 
 
@@ -285,6 +322,7 @@ class TestNumerics:
     def test_scores_stay_in_unit_interval(self, scorer):
         for query in ("a chef", "man dog grass", "dogs running", "tuxedo bagel chef"):
             tokens = tokenize(query)
-            for image in scorer.bank.images:
-                for fn in (scorer.mil, scorer.milstem, scorer.cn):
-                    assert 0.0 <= fn(tokens, image) <= 1.0
+            for tiers in (DETECTOR, STEM, KNOWLEDGE):
+                plan = scorer.plan(tokens, tiers)
+                for image in scorer.bank.images:
+                    assert 0.0 <= plan.score(image) <= 1.0
