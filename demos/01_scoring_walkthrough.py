@@ -55,7 +55,7 @@ partition = scorer.partition(tokens)
 print(f"query: {query!r}")
 print(f"  detector words:        {sorted(partition.detectable)}")
 print(f"  stem-detectable words: {sorted(partition.stem_detectable)}")
-print(f"  graph-detectable:      {sorted(partition.cn_detectable)}")
+print(f"  graph-detectable:      {sorted(partition.related)}")
 print(f"  undetected:            {sorted(partition.undetected)}")
 print()
 

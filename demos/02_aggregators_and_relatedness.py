@@ -15,6 +15,7 @@ from cnretrieval import (
     Relation,
     ScoreConfig,
     Scorer,
+    stem_set,
     tokenize,
 )
 
@@ -32,7 +33,8 @@ graph = KnowledgeGraph.from_relations([
     Relation("RelatedTo", "bagel", "bread", 1.0),
 ], min_weight=1.0)
 
-corpus = CooccurrenceModel.build([
+# the corpus holds each image's tag stems ("coffee" stems to "coff")
+corpus = CooccurrenceModel.build((image, stem_set(tags)) for image, tags in [
     ("e1", ["bagel", "bread", "plate"]),
     ("e2", ["bagel", "doughnut"]),
     ("e3", ["coffee", "plate"]),

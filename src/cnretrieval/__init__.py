@@ -11,7 +11,6 @@ from .detectors import DetectorBank
 from .errors import (
     EvaluationError,
     IngestError,
-    NotDetectableError,
     SnapshotError,
     UnknownImageError,
 )
@@ -53,7 +52,6 @@ __all__ = [
     "IngestError",
     "KNOWLEDGE",
     "KnowledgeGraph",
-    "NotDetectableError",
     "QueryPlan",
     "QueryRecord",
     "Relation",

@@ -14,7 +14,7 @@ from dataclasses import fields as dataclass_fields
 from . import evaluation, knowledge, scoring, snapshot, text
 from .cooccur import CooccurrenceModel
 from .detectors import DetectorBank
-from .errors import EvaluationError, IngestError, SnapshotError
+from .errors import EvaluationError, IngestError, SnapshotError, open_text
 from .evaluation import EvalReport, compute_report, format_table, load_queries
 from .scoring import ScoreConfig, Scorer
 from .text import WordClassMap, tokenize
@@ -100,8 +100,11 @@ def build_parser() -> argparse.ArgumentParser:
 def resolve_config(args) -> ScoreConfig:
     values = {}
     if getattr(args, "config", None):
-        with open(args.config, encoding="utf-8") as fh:
-            file_values = json.load(fh)
+        with open_text(args.config) as fh:
+            try:
+                file_values = json.load(fh)
+            except (ValueError, RecursionError) as exc:
+                raise IngestError(f"invalid JSON: {exc}", path=args.config) from None
         if not isinstance(file_values, dict):
             raise IngestError("expected a JSON object", path=args.config)
         known = {f.name for f in dataclass_fields(ScoreConfig)}
@@ -143,14 +146,7 @@ def cmd_ingest(args) -> int:
     relations = knowledge.parse_relations_csv(args.graph)
     corpus = CooccurrenceModel.from_jsonl(args.corpus)
     word_classes = WordClassMap.from_csv(args.word_classes) if args.word_classes else None
-    checksums = {
-        "detectors": snapshot.file_checksum(args.detectors),
-        "graph": snapshot.file_checksum(args.graph),
-        "corpus": snapshot.file_checksum(args.corpus),
-    }
-    if args.word_classes:
-        checksums["word_classes"] = snapshot.file_checksum(args.word_classes)
-    snapshot.save(args.snapshot, bank, relations, corpus, word_classes, checksums)
+    snapshot.save(args.snapshot, bank, relations, corpus, word_classes)
     print(f"snapshot written to {args.snapshot}")
     return EXIT_OK
 
@@ -168,7 +164,7 @@ def cmd_classify(args) -> int:
         elif word in partition.stem_detectable:
             entry = {"word": word, "class": "stem-detectable",
                      "via": sorted(scorer.bank.st_det(word))}
-        elif word in partition.cn_detectable:
+        elif word in partition.related:
             entry = {"word": word, "class": "cn-detectable",
                      "via": sorted(partition.related[word])}
         else:
@@ -248,8 +244,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"cnretrieval: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (IngestError, SnapshotError, EvaluationError, FileNotFoundError,
-            json.JSONDecodeError) as exc:
+    except (IngestError, SnapshotError, EvaluationError, OSError) as exc:
         print(f"cnretrieval: error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -1,7 +1,8 @@
 """Tag-corpus co-occurrence counts and the conditional estimates they yield.
 
-Counts are over images, not tag occurrences: each image's tags are stemmed
-and deduplicated before counting. Conditioning on a word never seen in the
+The corpus is stored and indexed as stems: raw tags are lowercased and
+stemmed once, in :meth:`CooccurrenceModel.from_jsonl`. Counts are over
+images, not tag occurrences. Conditioning on a word never seen in the
 corpus yields probability 0 (no evidence), as does conditioning on the
 absence of a word present in every image.
 """
@@ -12,7 +13,7 @@ import json
 from dataclasses import dataclass, field
 
 from . import text
-from .errors import IngestError
+from .errors import IngestError, open_text
 
 
 @dataclass
@@ -26,15 +27,14 @@ class CooccurrenceModel:
 
     @classmethod
     def build(cls, tagged_images) -> "CooccurrenceModel":
-        """Construct from (image id, iterable of raw tags) pairs."""
+        """Construct from (image id, iterable of tag stems) pairs, indexed as given."""
         tag_sets: dict[str, frozenset[str]] = {}
         df: dict[str, int] = {}
         index: dict[str, set[str]] = {}  # stem -> ids of the images tagged with it
         for image, tags in tagged_images:
             if image in tag_sets:
                 raise IngestError(f"duplicate image id {image!r}")
-            stems = text.stem_set(t.lower() for t in tags)
-            tag_sets[image] = stems
+            tag_sets[image] = stems = frozenset(tags)
             for s in stems:
                 df[s] = df.get(s, 0) + 1
                 index.setdefault(s, set()).add(image)
@@ -47,20 +47,21 @@ class CooccurrenceModel:
 
     @classmethod
     def from_jsonl(cls, path) -> "CooccurrenceModel":
-        """Load a tag corpus file: one ``{"image": ..., "tags": [...]}`` per line."""
+        """Load a tag corpus file: one ``{"image": ..., "tags": [...]}`` per line;
+        tags are lowercased and stemmed."""
         tagged = []
         seen = set()
-        with open(path, encoding="utf-8") as fh:
+        with open_text(path) as fh:
             for lineno, line in enumerate(fh, start=1):
                 line = line.strip()
                 if not line:
                     continue
                 try:
                     obj = json.loads(line)
-                except json.JSONDecodeError as exc:
+                except (ValueError, RecursionError) as exc:
                     raise IngestError(f"invalid JSON: {exc}", path=path, line=lineno)
-                if "image" not in obj or "tags" not in obj or \
-                        not isinstance(obj["tags"], list):
+                if not isinstance(obj, dict) or "image" not in obj or \
+                        not isinstance(obj.get("tags"), list):
                     raise IngestError("expected image and tags fields",
                                       path=path, line=lineno)
                 image = str(obj["image"])
@@ -68,7 +69,8 @@ class CooccurrenceModel:
                     raise IngestError(f"duplicate image id {image!r}",
                                       path=path, line=lineno)
                 seen.add(image)
-                tagged.append((image, [str(t) for t in obj["tags"]]))
+                tags = (str(t).lower() for t in obj["tags"])
+                tagged.append((image, text.stem_set(tags)))
         return cls.build(tagged)
 
     def co_count(self, a: str, b: str) -> int:

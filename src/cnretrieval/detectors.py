@@ -10,7 +10,7 @@ import json
 from dataclasses import dataclass, field
 
 from . import text
-from .errors import IngestError, NotDetectableError, UnknownImageError
+from .errors import IngestError, UnknownImageError, open_text
 
 
 @dataclass(frozen=True)
@@ -35,7 +35,11 @@ class DetectorBank:
             for word, value in word_scores.items():
                 if word not in vocab_set:
                     raise IngestError(f"score for word {word!r} outside vocabulary")
-                value = float(value)
+                try:
+                    value = float(value)
+                except (TypeError, ValueError):
+                    raise IngestError(f"score {value!r} for {word!r} is not a number") \
+                        from None
                 if not 0.0 <= value <= 1.0:
                     raise IngestError(f"score {value} for {word!r} not in [0, 1]")
                 row[word] = value
@@ -60,22 +64,24 @@ class DetectorBank:
         """
         vocab = None
         image_scores: dict[str, dict[str, float]] = {}
-        with open(path, encoding="utf-8") as fh:
+        with open_text(path) as fh:
             for lineno, line in enumerate(fh, start=1):
                 line = line.strip()
                 if not line:
                     continue
                 try:
                     obj = json.loads(line)
-                except json.JSONDecodeError as exc:
+                except (ValueError, RecursionError) as exc:
                     raise IngestError(f"invalid JSON: {exc}", path=path, line=lineno)
+                if not isinstance(obj, dict):
+                    raise IngestError("expected a JSON object", path=path, line=lineno)
                 if vocab is None:
-                    if "vocab" not in obj:
-                        raise IngestError("first line must declare the vocabulary",
+                    if not isinstance(obj.get("vocab"), list):
+                        raise IngestError("first line must declare the vocabulary list",
                                           path=path, line=lineno)
                     vocab = [str(w) for w in obj["vocab"]]
                     continue
-                if "image" not in obj or "scores" not in obj:
+                if "image" not in obj or not isinstance(obj.get("scores"), dict):
                     raise IngestError("expected image and scores fields",
                                       path=path, line=lineno)
                 image = str(obj["image"])
@@ -89,12 +95,6 @@ class DetectorBank:
             return cls.build(vocab, image_scores)
         except IngestError as exc:
             raise IngestError(str(exc), path=path)
-
-    def detector_score(self, image: str, word: str) -> float:
-        """Stored score for (image, word); 0 when the sparse entry is absent."""
-        if word not in self._vocab_set:
-            raise NotDetectableError(f"word {word!r} has no detector")
-        return self.row(image).get(word, 0.0)
 
     def row(self, image: str) -> dict[str, float]:
         """Sparse {word: score} row of ``image``."""
@@ -117,10 +117,3 @@ class DetectorBank:
     def st_det(self, word: str) -> frozenset[str]:
         """Vocabulary words sharing the stem of ``word``; may be empty."""
         return self.stem_index.get(text.stem(word), frozenset())
-
-    def stem_max_estimate(self, word: str, image: str) -> float:
-        """Best detector score among the stem-matching vocabulary words."""
-        stem_class = self.st_det(word)
-        if not stem_class:
-            raise NotDetectableError(f"word {word!r} has no stem-matching detector")
-        return max(self.detector_score(image, w) for w in stem_class)

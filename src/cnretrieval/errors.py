@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the input opener that raises them."""
+
+import csv
+from contextlib import contextmanager
 
 
 class IngestError(ValueError):
@@ -21,14 +24,20 @@ class UnknownImageError(LookupError):
     """Raised when a score is requested for an image id the bank has never seen."""
 
 
-class NotDetectableError(ValueError):
-    """Raised when a detector score is requested for a word outside the vocabulary,
-    or a stem-based estimate for a word with no stem-matching detector."""
-
-
 class EvaluationError(ValueError):
     """Raised on evaluation protocol violations (empty query set, missing ground truth)."""
 
 
 class SnapshotError(ValueError):
     """Raised when a snapshot file cannot be loaded (corruption, version mismatch)."""
+
+
+@contextmanager
+def open_text(path):
+    """Open a UTF-8 text input; a byte that is not UTF-8, or a line the csv
+    module cannot split, raises IngestError naming the file."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        try:
+            yield fh
+        except (UnicodeDecodeError, csv.Error) as exc:
+            raise IngestError(f"unreadable text: {exc}", path=path) from None

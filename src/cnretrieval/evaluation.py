@@ -11,7 +11,7 @@ import json
 import statistics
 from dataclasses import dataclass
 
-from .errors import EvaluationError, IngestError
+from .errors import EvaluationError, IngestError, open_text
 
 SENTENCE = "sentence"
 SINGLE_WORD = "single-word"
@@ -101,14 +101,14 @@ def compute_report(queries, score_fn, image_ids, ks=DEFAULT_KS) -> EvalReport:
 def load_queries(path) -> list[QueryRecord]:
     """Load a JSON-lines query file."""
     records = []
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
                 obj = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except (ValueError, RecursionError) as exc:
                 raise IngestError(f"invalid JSON: {exc}", path=path, line=lineno)
             try:
                 records.append(QueryRecord(

@@ -10,10 +10,12 @@ from __future__ import annotations
 
 import csv
 import logging
+import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from . import text
-from .errors import IngestError
+from .errors import IngestError, open_text
 
 log = logging.getLogger(__name__)
 
@@ -21,8 +23,7 @@ GRAPH = "graph"
 CORPUS_COOCCURRENCE = "corpus-cooccurrence"
 
 
-@dataclass(frozen=True)
-class Relation:
+class Relation(NamedTuple):
     """A weighted, typed edge between two concepts."""
 
     rel_type: str
@@ -35,7 +36,6 @@ class Relation:
 class KnowledgeGraph:
     """Filtered concept graph with stem-keyed neighbor lookup."""
 
-    edges: tuple[Relation, ...]
     min_weight: float
     allowed_rel_types: frozenset[str] | None  # None means all types
     adjacency: dict[str, frozenset[str]] = field(default_factory=dict)
@@ -45,37 +45,31 @@ class KnowledgeGraph:
     @classmethod
     def from_relations(cls, relations, min_weight=1.0,
                        allowed_rel_types=None) -> "KnowledgeGraph":
-        """Build the graph from parsed relations, applying the configured filters."""
+        """Build the graph from (rel_type, start, end, weight) tuples, applying
+        the configured filters. No neighbor of a word shares its stem."""
         allowed = None if allowed_rel_types is None else frozenset(allowed_rel_types)
-        retained = []
         skipped_multiword = 0
         adjacency: dict[str, set[str]] = {}
         edge_weights: dict[frozenset[str], float] = {}
-        for rel in relations:
-            if rel.weight < 0:
-                raise IngestError(f"negative edge weight {rel.weight}")
-            if not rel.start or not rel.end:
-                raise IngestError("empty concept in edge")
-            if rel.weight < min_weight:
+        for rel_type, start, end, weight in relations:
+            if weight < min_weight:
                 continue
-            if allowed is not None and rel.rel_type not in allowed:
+            if allowed is not None and rel_type not in allowed:
                 continue
-            if " " in rel.start or " " in rel.end:
+            if " " in start or " " in end:
                 skipped_multiword += 1
                 continue
-            start_stem, end_stem = text.stem(rel.start), text.stem(rel.end)
+            start_stem, end_stem = text.stem(start), text.stem(end)
             if start_stem == end_stem:
                 continue  # self-loop / stem-equal noise
-            retained.append(rel)
-            adjacency.setdefault(start_stem, set()).add(rel.end)
-            adjacency.setdefault(end_stem, set()).add(rel.start)
+            adjacency.setdefault(start_stem, set()).add(end)
+            adjacency.setdefault(end_stem, set()).add(start)
             key = frozenset((start_stem, end_stem))
-            edge_weights[key] = max(edge_weights.get(key, 0.0), rel.weight)
+            edge_weights[key] = max(edge_weights.get(key, 0.0), weight)
         if skipped_multiword:
             log.info("dropped %d multiword-concept edges", skipped_multiword)
-        max_weight = max((r.weight for r in retained), default=1.0)
+        max_weight = max(edge_weights.values(), default=1.0)
         return cls(
-            edges=tuple(retained),
             min_weight=min_weight,
             allowed_rel_types=allowed,
             adjacency={s: frozenset(ns) for s, ns in adjacency.items()},
@@ -91,11 +85,7 @@ class KnowledgeGraph:
 
     def neighbors(self, word: str) -> frozenset[str]:
         """Single-token concepts connected to the stem of ``word``, either direction."""
-        word_stem = text.stem(word)
-        found = self.adjacency.get(word_stem, frozenset())
-        # an edge may connect two nodes with the same stem through different
-        # surface forms; keep stem-distinct neighbors only
-        return frozenset(c for c in found if text.stem(c) != word_stem)
+        return self.adjacency.get(text.stem(word), frozenset())
 
     def edge_weight(self, a: str, b: str) -> float:
         """Best confidence among retained edges linking the stems of a and b; 0 if none."""
@@ -104,9 +94,10 @@ class KnowledgeGraph:
 
 def parse_relations_csv(path) -> list[Relation]:
     """Parse an edge CSV without filtering. Concepts are lowercased and
-    underscores become spaces; filtering happens at graph construction."""
+    underscores become spaces; filtering happens at graph construction.
+    An empty concept or a weight that is negative or not finite is an error."""
     relations = []
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or [h.strip() for h in header] != \
@@ -123,8 +114,11 @@ def parse_relations_csv(path) -> list[Relation]:
                 weight = float(weight_str)
             except ValueError:
                 raise IngestError(f"bad weight {weight_str!r}", path=path, line=lineno)
-            if weight < 0:
-                raise IngestError(f"negative weight {weight}", path=path, line=lineno)
+            if not math.isfinite(weight) or weight < 0:
+                raise IngestError(f"weight {weight} is not a finite non-negative number",
+                                  path=path, line=lineno)
+            if not start or not end:
+                raise IngestError("empty concept in edge", path=path, line=lineno)
             relations.append(Relation(
                 rel_type=rel_type,
                 start=start.lower().replace("_", " "),

@@ -65,9 +65,8 @@ class WordPartition:
 
     detectable: frozenset[str]
     stem_detectable: frozenset[str]
-    cn_detectable: frozenset[str]
     undetected: frozenset[str]
-    #: the related detectable words of each cn_detectable word
+    #: each knowledge-tier word -> its related detectable words
     related: dict[str, frozenset[str]]
 
 
@@ -102,7 +101,6 @@ def partition_query(tokens, bank, relatedness: RelatednessSource,
     return WordPartition(
         detectable=frozenset(detectable),
         stem_detectable=frozenset(stem_det),
-        cn_detectable=frozenset(related),
         undetected=frozenset(undetected),
         related=related,
     )
@@ -201,7 +199,7 @@ class Scorer:
             (self.config.aggregator, tuple(
                 (tuple(self.bank.st_det(r)), *self._coefficients(w, r))
                 for r in sorted(partition.related[w])))
-            for w in sorted(partition.cn_detectable)
+            for w in sorted(partition.related)
         ]
         return QueryPlan(self.bank, tuple(factors), self.config.clamp_epsilon)
 

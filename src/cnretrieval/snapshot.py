@@ -1,54 +1,50 @@
 """Versioned binary snapshot of the ingested sources.
 
-The snapshot stores the parsed raw data (vocabulary, score rows, relations,
-tag sets) rather than the built objects, so loading rebuilds indexes under
-the active configuration. All containers are canonicalized (sorted) before
-pickling, which makes re-ingesting identical inputs byte-identical.
+The snapshot stores the parsed data (vocabulary, score rows, relations as
+plain tuples, and the corpus as each image's tag stems) rather than the
+built objects, so loading rebuilds indexes under the active configuration;
+it indexes the stored stems and never stems a corpus tag. All containers
+are canonicalized (sorted) and each distinct string is written once, which
+makes re-ingesting identical inputs byte-identical.
 """
 
 from __future__ import annotations
 
-import hashlib
 import pickle
 
 from .cooccur import CooccurrenceModel
 from .detectors import DetectorBank
 from .errors import SnapshotError
-from .knowledge import KnowledgeGraph, Relation
+from .knowledge import KnowledgeGraph
 from .text import WordClassMap
 
 FORMAT_VERSION = 1
 
 
-def file_checksum(path) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 16), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
-
-
 def save(path, bank: DetectorBank, relations, corpus: CooccurrenceModel,
-         word_classes: WordClassMap | None = None,
-         checksums: dict[str, str] | None = None) -> None:
+         word_classes: WordClassMap | None = None) -> None:
     """Persist parsed sources; ``relations`` are the unfiltered graph edges."""
+    # one object per distinct string: pickle writes each once, and the bytes
+    # depend on the values only, not on which objects happen to be shared
+    pool: dict[str, str] = {}
+
+    def one(s: str) -> str:
+        return pool.setdefault(s, s)
+
     payload = {
         "format_version": FORMAT_VERSION,
-        "checksums": dict(sorted((checksums or {}).items())),
-        "vocab": list(bank.vocab),
+        "vocab": [one(w) for w in bank.vocab],
         "scores": {
-            image: dict(sorted(bank.scores[image].items()))
+            one(image): {one(w): v for w, v in sorted(bank.scores[image].items())}
             for image in sorted(bank.scores)
         },
-        "relations": [
-            (r.rel_type, r.start, r.end, r.weight)
-            for r in sorted(relations, key=lambda r: (r.rel_type, r.start, r.end, r.weight))
-        ],
+        "relations": [(one(rel_type), one(start), one(end), weight)
+                      for rel_type, start, end, weight in sorted(relations)],
         "corpus": {
-            image: sorted(corpus.tag_sets[image])
+            one(image): [one(s) for s in sorted(corpus.tag_sets[image])]
             for image in sorted(corpus.tag_sets)
         },
-        "word_classes": dict(sorted(word_classes.entries.items()))
+        "word_classes": {one(w): one(c) for w, c in sorted(word_classes.entries.items())}
         if word_classes is not None else None,
     }
     with open(path, "wb") as fh:
@@ -59,12 +55,14 @@ def load(path, min_weight: float = 1.0, allowed_rel_types=None):
     """Rebuild (bank, graph, corpus, word_classes) from a snapshot file.
 
     Graph filters are applied at load time so one snapshot serves any config.
+    Any file that is not a readable snapshot raises SnapshotError.
     """
     try:
         with open(path, "rb") as fh:
-            payload = pickle.load(fh)
-    except (pickle.UnpicklingError, EOFError, ValueError) as exc:
-        raise SnapshotError(f"cannot read snapshot {path}: {exc}")
+            payload = pickle.loads(fh.read())
+    except (OSError, pickle.UnpicklingError, EOFError, ValueError, TypeError, KeyError,
+            IndexError, AttributeError, ImportError, OverflowError) as exc:
+        raise SnapshotError(f"cannot read snapshot {path}: {exc}") from None
     if not isinstance(payload, dict) or "format_version" not in payload:
         raise SnapshotError(f"{path} is not a snapshot file")
     version = payload["format_version"]
@@ -72,12 +70,13 @@ def load(path, min_weight: float = 1.0, allowed_rel_types=None):
         raise SnapshotError(
             f"snapshot format version {version} unsupported (expected {FORMAT_VERSION})"
         )
-    bank = DetectorBank.build(payload["vocab"], payload["scores"])
-    relations = [Relation(*fields) for fields in payload["relations"]]
-    graph = KnowledgeGraph.from_relations(relations, min_weight=min_weight,
-                                          allowed_rel_types=allowed_rel_types)
-    corpus = CooccurrenceModel.build(payload["corpus"].items())
-    word_classes = None
-    if payload.get("word_classes") is not None:
-        word_classes = WordClassMap(entries=payload["word_classes"])
+    try:
+        bank = DetectorBank.build(payload["vocab"], payload["scores"])
+        graph = KnowledgeGraph.from_relations(payload["relations"], min_weight=min_weight,
+                                              allowed_rel_types=allowed_rel_types)
+        corpus = CooccurrenceModel.build(payload["corpus"].items())
+        classes = payload.get("word_classes")
+        word_classes = None if classes is None else WordClassMap(entries=dict(classes))
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise SnapshotError(f"{path} is not a valid snapshot: {exc!r}") from None
     return bank, graph, corpus, word_classes

@@ -9,10 +9,11 @@ differ from other stemmer variants on unusual words.
 from __future__ import annotations
 
 import csv
+import functools
 import string
 from dataclasses import dataclass, field
 
-from .errors import IngestError
+from .errors import IngestError, open_text
 
 NOUN = "noun"
 VERB = "verb"
@@ -97,10 +98,10 @@ _STEP3 = (
     ("ical", "ic"), ("ful", ""), ("ness", ""),
 )
 
-_STEP4 = (
+_STEP4 = tuple(sorted((
     "al", "ance", "ence", "er", "ic", "able", "ible", "ant", "ement",
     "ment", "ent", "ion", "ou", "ism", "ate", "iti", "ous", "ive", "ize",
-)
+), key=len, reverse=True))
 
 
 def _porter_pass(w: str) -> str:
@@ -155,7 +156,7 @@ def _porter_pass(w: str) -> str:
             break
 
     # Step 4 (longest suffix first)
-    for suffix in sorted(_STEP4, key=len, reverse=True):
+    for suffix in _STEP4:
         if w.endswith(suffix):
             stem = w[: -len(suffix)]
             if suffix == "ion" and not stem.endswith(("s", "t")):
@@ -178,8 +179,10 @@ def _porter_pass(w: str) -> str:
     return w
 
 
+@functools.cache
 def stem(word: str) -> str:
-    """Stem a lowercase word; deterministic and idempotent.
+    """Stem a lowercase word; deterministic and idempotent. Each distinct word
+    is stemmed once per process; later calls are a dictionary hit.
 
     >>> stem("running")
     'run'
@@ -241,7 +244,7 @@ class WordClassMap:
     @classmethod
     def from_csv(cls, path) -> "WordClassMap":
         entries = {}
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open_text(path) as fh:
             for lineno, row in enumerate(csv.reader(fh), start=1):
                 if not row:
                     continue

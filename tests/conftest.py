@@ -10,6 +10,7 @@ from cnretrieval import (
     ScoreConfig,
     Scorer,
     WordClassMap,
+    stem_set,
 )
 
 TINY_VOCAB = [
@@ -47,6 +48,13 @@ TINY_CORPUS = [
     ("esp5", ["hotel", "resort"]),
 ]
 
+
+def stemmed(tagged):
+    """(image, raw tags) pairs as the (image, tag stems) pairs that
+    CooccurrenceModel.build indexes."""
+    return [(image, stem_set(tags)) for image, tags in tagged]
+
+
 TINY_WORD_CLASSES = {
     "chef": "noun", "tuxedo": "noun", "bagel": "noun", "dog": "noun",
     "hotel": "noun", "running": "verb", "sprinting": "verb", "shiny": "adjective",
@@ -65,7 +73,7 @@ def graph():
 
 @pytest.fixture
 def corpus():
-    return CooccurrenceModel.build(TINY_CORPUS)
+    return CooccurrenceModel.build(stemmed(TINY_CORPUS))
 
 
 @pytest.fixture

@@ -35,6 +35,7 @@ from conftest import (
     TINY_SCORES,
     TINY_VOCAB,
     TINY_WORD_CLASSES,
+    stemmed,
 )
 
 
@@ -85,7 +86,7 @@ def build_scorer(world, **config_kwargs):
     bank = DetectorBank.build(world.vocab, world.scores)
     graph = KnowledgeGraph.from_relations(
         [Relation(*e) for e in world.edges], min_weight=config.min_weight)
-    corpus = CooccurrenceModel.build(world.corpus)
+    corpus = CooccurrenceModel.build(stemmed(world.corpus))
     return Scorer(bank, graph, corpus, None, config)
 
 
@@ -130,7 +131,7 @@ def test_reduction_chain_randomized():
             image = rng.choice(world.images)
             partition = scorer.partition(tokens)
 
-            no_cn = [t for t in tokens if t.surface not in partition.cn_detectable]
+            no_cn = [t for t in tokens if t.surface not in partition.related]
             assert scorer.plan(no_cn).score(image) == \
                 scorer.plan(no_cn, STEM).score(image)
 
@@ -163,10 +164,10 @@ def test_cooccurrence_law_of_total_counts():
     with criterion("co-occurrence law of total counts: exact on 100 random corpora"):
         rng = random.Random(404)
         for _ in range(100):
-            corpus = CooccurrenceModel.build([
+            corpus = CooccurrenceModel.build(stemmed([
                 (f"e{k}", rng.sample(BASE_WORDS, rng.randint(1, 6)))
                 for k in range(rng.randint(1, 10))
-            ])
+            ]))
             n = corpus.n_images
             for w in corpus.df:
                 for g in corpus.df:
@@ -237,17 +238,23 @@ def test_stem_max_estimate_property():
         rng = random.Random(707)
         for _ in range(1000):
             world = make_world(rng)
-            bank = DetectorBank.build(world.vocab, world.scores)
+            scorer = build_scorer(world)
+            bank = scorer.bank
             image = rng.choice(world.images)
             probe = rng.choice(BASE_WORDS + ["dogged", "runner"])
             stem_class = oracle.st_det(world, probe)
             if not stem_class:
                 continue
-            estimate = bank.stem_max_estimate(probe, image)
+            row = bank.row(image)
+            estimate = max(row.get(w, 0.0) for w in bank.st_det(probe))
             assert estimate == max(
                 world.scores[image].get(w, 0.0) for w in stem_class)
             if len(stem_class) == 1:
-                assert estimate == bank.detector_score(image, stem_class[0])
+                assert estimate == row.get(stem_class[0], 0.0)
+            if not bank.is_detectable(probe):
+                # a stem-tier word's factor is this estimate
+                plan = scorer.plan(tokenize(probe), STEM)
+                assert plan.factor_values(image) == [estimate]
 
 
 def test_metric_recount():
@@ -291,8 +298,8 @@ def test_threshold_antitonicity():
             tokens = tokenize(f"{random_query(rng, world)} {cn_word}")
             low_scorer = build_scorer(world, min_weight=low_t)
             high_scorer = build_scorer(world, min_weight=high_t)
-            assert high_scorer.partition(tokens).cn_detectable <= \
-                low_scorer.partition(tokens).cn_detectable
+            assert high_scorer.partition(tokens).related.keys() <= \
+                low_scorer.partition(tokens).related.keys()
 
 
 def test_end_to_end_chef_scenario():
@@ -304,7 +311,7 @@ def test_end_to_end_chef_scenario():
         )
         bank = DetectorBank.build(TINY_VOCAB, TINY_SCORES)
         graph = KnowledgeGraph.from_relations(TINY_EDGES, min_weight=1.0)
-        corpus = CooccurrenceModel.build(TINY_CORPUS)
+        corpus = CooccurrenceModel.build(stemmed(TINY_CORPUS))
         scorer = Scorer(bank, graph, corpus, None, ScoreConfig(aggregator="max"))
         tokens = tokenize("a chef")
         words = [t.surface for t in tokens]

@@ -1,4 +1,5 @@
 import json
+import pickle
 
 import pytest
 
@@ -199,6 +200,58 @@ class TestEval:
                                     "--queries", queries, "--scorers", "MIL,CN_MAX_NN"])
         assert code == 1
         assert_one_line_error(err, "--word-classes")
+
+
+NOT_UTF8 = b"caf\xe9\n"
+
+#: case -> (which input file, its bytes, line the message names); None bytes
+#: make the input a directory
+BAD_INPUTS = {
+    "score-not-a-number": ("detectors", b'{"vocab": ["dog"]}\n'
+                           b'{"image": "i1", "scores": {"dog": "high"}}\n', None),
+    "scores-not-an-object": ("detectors", b'{"vocab": ["dog"]}\n'
+                             b'{"image": "i1", "scores": [1]}\n', 2),
+    "vocab-not-a-list": ("detectors", b'{"vocab": 5}\n', 1),
+    "corpus-line-not-an-object": ("corpus", b"5\n", 1),
+    "empty-concept": ("graph", b"rel_type,start,end,weight\nRelatedTo,,cat,0.5\n", 2),
+    "infinite-weight": ("graph", b"rel_type,start,end,weight\nRelatedTo,dog,cat,inf\n", 2),
+    "nan-weight": ("graph", b"rel_type,start,end,weight\nRelatedTo,dog,cat,nan\n", 2),
+    "detectors-not-utf8": ("detectors", NOT_UTF8, None),
+    "graph-not-utf8": ("graph", b"rel_type,start,end,weight\nIsA," + NOT_UTF8, None),
+    "corpus-not-utf8": ("corpus", NOT_UTF8, None),
+    "word-classes-not-utf8": ("word_classes", NOT_UTF8, None),
+    "queries-not-utf8": ("queries", NOT_UTF8, None),
+    "config-not-utf8": ("config", NOT_UTF8, None),
+    "config-huge-integer": ("config", b'{"min_weight": ' + b"1" * 5000 + b"}", None),
+    "detectors-deeply-nested": ("detectors", b"[" * 100000 + b"\n", 1),
+    "snapshot-is-a-directory": ("snapshot", None, None),
+    "snapshot-without-vocab": ("snapshot", pickle.dumps({"format_version": 1}), None),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_INPUTS))
+def test_bad_input_exits_2_naming_the_file(case, snap, tiny_files, capsys):
+    role, content, line = BAD_INPUTS[case]
+    path = tiny_files["dir"] / f"bad-{role}"
+    if content is None:
+        path.mkdir()
+    else:
+        path.write_bytes(content)
+    if role == "snapshot":
+        argv = ["classify", "chef", "--snapshot", path]
+    elif role == "queries":
+        argv = ["eval", "--snapshot", snap, "--queries", path, "--scorers", "MIL"]
+    elif role == "config":
+        argv = ["score", "chef", "--snapshot", snap, "--config", path]
+    else:
+        inputs = {key: tiny_files[key] for key in
+                  ("detectors", "graph", "corpus", "word_classes")}
+        inputs[role] = path
+        argv = ["ingest", "--snapshot", tiny_files["dir"] / "out.snap"]
+        argv += [a for key, p in inputs.items() for a in (f"--{key.replace('_', '-')}", p)]
+    code, _, err = run(capsys, argv)
+    assert code == 2
+    assert_one_line_error(err, str(path) if line is None else f"{path}:{line}:")
 
 
 class TestConfigPrecedence:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from cnretrieval import CooccurrenceModel, IngestError
 
 import oracle
+from conftest import stemmed
 
 TAG_POOL = ["dog", "dogs", "cat", "grass", "man", "person", "chef",
             "kitchen", "sky", "tree", "running", "run"]
@@ -32,8 +33,10 @@ class TestIngest:
         assert model.df["grass"] == 1
         assert model.co_count("dog", "grass") == 1
 
-    def test_stems_deduplicate(self):
-        model = CooccurrenceModel.build([("i1", ["runs", "running"])])
+    def test_stems_deduplicate(self, tmp_path):
+        path = tmp_path / "tags.jsonl"
+        path.write_text('{"image": "i1", "tags": ["runs", "Running"]}\n')
+        model = CooccurrenceModel.from_jsonl(path)
         assert model.tag_sets["i1"] == {"run"}
         assert model.df["run"] == 1
 
@@ -89,7 +92,7 @@ class TestInvariants:
     @settings(max_examples=60, deadline=None)
     @given(corpora)
     def test_counts_and_bounds(self, tagged):
-        model = CooccurrenceModel.build(tagged)
+        model = CooccurrenceModel.build(stemmed(tagged))
         stems = sorted(model.df)
         for a in stems:
             for b in stems:
@@ -104,7 +107,7 @@ class TestInvariants:
     @settings(max_examples=60, deadline=None)
     @given(corpora)
     def test_law_of_total_counts(self, tagged):
-        model = CooccurrenceModel.build(tagged)
+        model = CooccurrenceModel.build(stemmed(tagged))
         for w in model.df:
             for g in model.df:
                 if 0 < model.df[g] < model.n_images:
@@ -116,7 +119,7 @@ class TestInvariants:
         rng = random.Random(5)
         for _ in range(20):
             tagged = random_corpus(rng)
-            model = CooccurrenceModel.build(tagged)
+            model = CooccurrenceModel.build(stemmed(tagged))
             world = oracle.World([], {}, [], tagged)
             for a in rng.sample(TAG_POOL, 4):
                 for b in rng.sample(TAG_POOL, 4):

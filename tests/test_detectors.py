@@ -4,27 +4,30 @@ import random
 import pytest
 
 from cnretrieval import (
+    STEM,
     DetectorBank,
     IngestError,
-    NotDetectableError,
+    KnowledgeGraph,
+    Scorer,
     UnknownImageError,
+    tokenize,
 )
 
 
 class TestDetectorScore:
     def test_stored_score(self, bank):
-        assert bank.detector_score("img_kitchen", "person") == 0.9
+        assert bank.row("img_kitchen")["person"] == 0.9
 
     def test_missing_entry_is_zero(self, bank):
-        assert bank.detector_score("img_kitchen", "dog") == 0.0
+        assert bank.row("img_kitchen").get("dog", 0.0) == 0.0
 
     def test_word_outside_vocab(self, bank):
-        with pytest.raises(NotDetectableError):
-            bank.detector_score("img_kitchen", "chef")
+        assert not bank.is_detectable("chef")
+        assert all("chef" not in bank.row(image) for image in bank.images)
 
     def test_unknown_image(self, bank):
         with pytest.raises(UnknownImageError):
-            bank.detector_score("nope", "person")
+            bank.row("nope")
 
 
 class TestStDet:
@@ -41,26 +44,33 @@ class TestStDet:
         assert "dog" in bank.st_det("dog")
 
 
+def stem_max_estimate(bank, word, image):
+    """The stem-tier estimate of one word: the only factor of its one-word
+    MILSTEM plan; None when the word has no stem-matching detector."""
+    scorer = Scorer(bank, KnowledgeGraph.from_relations([]))
+    values = scorer.plan(tokenize(word), STEM).factor_values(image)
+    return values[0] if values else None
+
+
 class TestStemMaxEstimate:
     def test_singleton_class(self, bank):
-        assert bank.stem_max_estimate("dogs", "img_park") == 0.9
+        assert stem_max_estimate(bank, "dogs", "img_park") == 0.9
 
     def test_max_over_class(self, bank):
         # runs: 0.2, running: 0.5 on img_park
-        assert bank.stem_max_estimate("run", "img_park") == 0.5
+        assert stem_max_estimate(bank, "run", "img_park") == 0.5
 
     def test_all_scores_absent(self, bank):
-        assert bank.stem_max_estimate("dogs", "img_abbey") == 0.0
+        assert stem_max_estimate(bank, "dogs", "img_abbey") == 0.0
 
     def test_empty_stem_class_rejected(self, bank):
-        with pytest.raises(NotDetectableError):
-            bank.stem_max_estimate("chef", "img_kitchen")
+        assert stem_max_estimate(bank, "chef", "img_kitchen") is None
 
     def test_dominates_every_member(self, bank):
         for image in bank.images:
-            est = bank.stem_max_estimate("run", image)
+            est = stem_max_estimate(bank, "run", image)
             for w in bank.st_det("run"):
-                assert est >= bank.detector_score(image, w)
+                assert est >= bank.row(image).get(w, 0.0)
 
     def test_invariant_under_vocab_reorder(self, bank):
         rng = random.Random(7)
@@ -68,15 +78,15 @@ class TestStemMaxEstimate:
         rng.shuffle(vocab)
         shuffled = DetectorBank.build(vocab, bank.scores)
         for image in bank.images:
-            assert shuffled.stem_max_estimate("run", image) == \
-                bank.stem_max_estimate("run", image)
+            assert stem_max_estimate(shuffled, "run", image) == \
+                stem_max_estimate(bank, "run", image)
 
 
 class TestIngest:
     def test_from_jsonl(self, tiny_files, bank):
         loaded = DetectorBank.from_jsonl(tiny_files["detectors"])
         assert loaded.vocab == bank.vocab
-        assert loaded.detector_score("img_beach", "man") == 0.8
+        assert loaded.row("img_beach")["man"] == 0.8
 
     def test_score_outside_vocab_rejected(self, tmp_path):
         path = tmp_path / "d.jsonl"

@@ -1,15 +1,21 @@
 import random
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cnretrieval import (
     IngestError,
     KnowledgeGraph,
     Relation,
     RelatednessSource,
+    parse_relations_csv,
+    stem,
 )
 
 import oracle
+from conftest import TINY_EDGES
 
 
 def random_graph(rng, words=("dog", "cat", "pen", "chef", "kitchen", "sofa",
@@ -76,6 +82,20 @@ class TestNeighbors:
                 assert graph.neighbors(word) == oracle.neighbors(world, word)
 
 
+STEM_FAMILIES = ["dog", "dogs", "dogged", "run", "runs", "running", "runner",
+                 "chef", "chefs", "kitchen", "kitchens", "pen", "pens"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(["IsA", "RelatedTo"]),
+                          st.sampled_from(STEM_FAMILIES), st.sampled_from(STEM_FAMILIES),
+                          st.sampled_from([0.5, 1.0, 2.0])), max_size=25))
+def test_no_neighbor_shares_the_word_stem(edges):
+    graph = KnowledgeGraph.from_relations([Relation(*e) for e in edges], min_weight=0.0)
+    for word in STEM_FAMILIES:
+        assert all(stem(c) != stem(word) for c in graph.neighbors(word))
+
+
 def cn_det(graph, word, bank):
     return RelatednessSource(variant="graph", graph=graph).related_detectable(word, bank)
 
@@ -120,11 +140,16 @@ class TestIngestCsv:
     def test_round_trip(self, tiny_files, graph):
         loaded = KnowledgeGraph.from_csv(tiny_files["graph"], min_weight=1.0)
         assert loaded.neighbors("chef") == graph.neighbors("chef")
-        assert loaded.edges == graph.edges
+        assert loaded.adjacency == graph.adjacency
+        assert loaded.edge_weights == graph.edge_weights
+        assert parse_relations_csv(tiny_files["graph"]) == TINY_EDGES
 
     def test_underscores_become_spaces(self, tiny_files):
-        loaded = KnowledgeGraph.from_csv(tiny_files["graph"])
-        assert all(" " not in r.start and " " not in r.end for r in loaded.edges)
+        relations = parse_relations_csv(tiny_files["graph"])
+        assert ("IsA", "sofa", "piece of furniture", 3.0) in relations
+        loaded = KnowledgeGraph.from_relations(relations)
+        # the multiword concepts are dropped, so no retained edge has a space
+        assert all(" " not in c for ns in loaded.adjacency.values() for c in ns)
 
     def test_bad_header(self, tmp_path):
         path = tmp_path / "e.csv"
@@ -137,6 +162,19 @@ class TestIngestCsv:
         path.write_text("rel_type,start,end,weight\nIsA,x,y,heavy\n")
         with pytest.raises(IngestError, match="2"):
             KnowledgeGraph.from_csv(path)
+
+    def test_empty_concept_rejected_at_parse(self, tmp_path):
+        path = tmp_path / "e.csv"
+        path.write_text("rel_type,start,end,weight\nIsA,x,y,1\nRelatedTo,,cat,0.5\n")
+        with pytest.raises(IngestError, match=re.escape(f"{path}:3: empty concept")):
+            parse_relations_csv(path)
+
+    @pytest.mark.parametrize("weight", ["nan", "inf", "-inf", "Infinity"])
+    def test_non_finite_weight_rejected_at_parse(self, tmp_path, weight):
+        path = tmp_path / "e.csv"
+        path.write_text(f"rel_type,start,end,weight\nIsA,x,y,{weight}\n")
+        with pytest.raises(IngestError, match=re.escape(f"{path}:2:")):
+            parse_relations_csv(path)
 
     def test_negative_weight_rejected(self, tmp_path):
         path = tmp_path / "e.csv"

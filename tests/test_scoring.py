@@ -29,6 +29,11 @@ def pair_estimate(word, related, image, bank, cooccur, weight=1.0, **config):
     return factor
 
 
+def stem_max(bank, word, image):
+    """Best detector score among the vocabulary words sharing ``word``'s stem."""
+    return max(bank.row(image).get(w, 0.0) for w in bank.st_det(word))
+
+
 class TestScoreConfig:
     def test_defaults(self):
         config = ScoreConfig()
@@ -50,7 +55,7 @@ class TestPartition:
     def test_chef_sentence(self, scorer):
         partition = scorer.partition(tokenize("a chef and his dish"))
         assert partition.detectable == {"dish"}
-        assert partition.cn_detectable == {"chef"}
+        assert set(partition.related) == {"chef"}
         # "a", "and", "his" are stopwords with no detector: undetected
         assert partition.undetected == {"a", "and", "his"}
 
@@ -66,7 +71,7 @@ class TestPartition:
         tokens = tokenize("a man runs with his dogs near the chef tuxedo zebra")
         partition = scorer.partition(tokens)
         tiers = [partition.detectable, partition.stem_detectable,
-                 partition.cn_detectable, partition.undetected]
+                 set(partition.related), partition.undetected]
         union = set().union(*tiers)
         assert union == {t.surface for t in tokens}
         assert sum(len(t) for t in tiers) == len(union)
@@ -80,16 +85,16 @@ class TestPartition:
         off = partition_query(tokenize("in"), bank, src,
                               ScoreConfig(stopword_filter=False))
         assert on.undetected == {"in"}
-        assert off.cn_detectable == {"in"}
+        assert set(off.related) == {"in"}
 
     def test_noun_only_gate(self, scorer, bank, graph, corpus):
         from cnretrieval import WordClassMap
         nn = scorer.with_config(noun_only=True)
-        assert nn.partition(tokenize("chef")).cn_detectable == {"chef"}
+        assert set(nn.partition(tokenize("chef")).related) == {"chef"}
         relabeled = Scorer(bank, graph, corpus,
                            WordClassMap(entries={"chef": "verb"}),
                            ScoreConfig(noun_only=True))
-        assert relabeled.partition(tokenize("chef")).cn_detectable == frozenset()
+        assert not relabeled.partition(tokenize("chef")).related
         assert relabeled.partition(tokenize("chef")).undetected == {"chef"}
 
     def test_noun_only_requires_class_map(self, bank, graph, corpus):
@@ -165,7 +170,7 @@ class TestPairEstimate:
     def test_constant_one_collapses_to_detector(self, scorer):
         value = pair_estimate("chef", "kitchen", "img_kitchen", scorer.bank,
                               scorer.cooccur, conditional_estimator="constant_one")
-        assert value == scorer.bank.stem_max_estimate("kitchen", "img_kitchen")
+        assert value == stem_max(scorer.bank, "kitchen", "img_kitchen")
 
     def test_degenerate_convexity(self):
         # equal conditional and negated-conditional collapse to that value
@@ -188,7 +193,7 @@ class TestPairEstimate:
         assert plan.factor_values("img_kitchen") == []
 
     def test_graph_weight_estimator(self, scorer):
-        q = scorer.bank.stem_max_estimate("person", "img_kitchen")
+        q = stem_max(scorer.bank, "person", "img_kitchen")
         value = pair_estimate("chef", "person", "img_kitchen", scorer.bank,
                               scorer.cooccur, weight=2.5,
                               conditional_estimator="graph_weight")
