@@ -17,6 +17,7 @@ from cnretrieval import (
     Relation,
     ScoreConfig,
     Scorer,
+    stem_set,
     tokenize,
 )
 
@@ -31,20 +32,22 @@ bank = DetectorBank.build(
     },
 )
 
-# Commonsense edges: "chef" has no detector, but its neighbors do.
-graph = KnowledgeGraph.from_relations([
+# Commonsense edges: "chef" has no detector, but its neighbors do. Only
+# neighbors with a detector are kept: the graph is projected onto the bank.
+graph = KnowledgeGraph.project([
     Relation("IsA", "chef", "person", 2.5),
     Relation("AtLocation", "chef", "kitchen", 2.0),
     Relation("RelatedTo", "chef", "dish", 1.0),
-], min_weight=1.0)
+], bank.stem_index)
 
-# A tag corpus giving the conditional co-occurrence evidence.
-corpus = CooccurrenceModel.build([
-    ("e1", ["chef", "person", "kitchen"]),
-    ("e2", ["chef", "dish"]),
-    ("e3", ["dog", "grass"]),
-    ("e4", ["man", "person"]),
-])
+# A tag corpus (each image's tag stems) giving the conditional co-occurrence
+# evidence, projected onto the bank the same way.
+corpus = CooccurrenceModel.project((stem_set(tags) for tags in [
+    ["chef", "person", "kitchen"],
+    ["chef", "dish"],
+    ["dog", "grass"],
+    ["man", "person"],
+]), bank.stem_index)
 
 scorer = Scorer(bank, graph, corpus, config=ScoreConfig(aggregator="max"))
 

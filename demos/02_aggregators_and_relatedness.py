@@ -28,18 +28,20 @@ bank = DetectorBank.build(
     },
 )
 
-graph = KnowledgeGraph.from_relations([
+# both sources are projected onto the bank: only related words that have a
+# detector are kept
+graph = KnowledgeGraph.project([
     Relation("IsA", "bagel", "doughnut", 1.5),
     Relation("RelatedTo", "bagel", "bread", 1.0),
-], min_weight=1.0)
+], bank.stem_index)
 
-# the corpus holds each image's tag stems ("coffee" stems to "coff")
-corpus = CooccurrenceModel.build((image, stem_set(tags)) for image, tags in [
-    ("e1", ["bagel", "bread", "plate"]),
-    ("e2", ["bagel", "doughnut"]),
-    ("e3", ["coffee", "plate"]),
-    ("e4", ["bread"]),
-])
+# the corpus is each image's tag stems ("coffee" stems to "coff")
+corpus = CooccurrenceModel.project((stem_set(tags) for tags in [
+    ["bagel", "bread", "plate"],
+    ["bagel", "doughnut"],
+    ["coffee", "plate"],
+    ["bread"],
+]), bank.stem_index)
 
 tokens = tokenize("a bagel")
 

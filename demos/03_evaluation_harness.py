@@ -23,6 +23,7 @@ from cnretrieval import (
     Scorer,
     compute_report,
     format_table,
+    stem_set,
     tokenize,
 )
 
@@ -35,14 +36,13 @@ bank = DetectorBank.build(
         "img_plain": {},
     },
 )
-graph = KnowledgeGraph.from_relations([
+graph = KnowledgeGraph.project([
     Relation("IsA", "chef", "person", 2.5),
     Relation("AtLocation", "chef", "kitchen", 2.0),
-])
-corpus = CooccurrenceModel.build([
-    ("e1", ["chef", "person", "kitchen"]),
-    ("e2", ["dog", "grass"]),
-])
+], bank.stem_index)
+corpus = CooccurrenceModel.project(
+    (stem_set(tags) for tags in [["chef", "person", "kitchen"], ["dog", "grass"]]),
+    bank.stem_index)
 scorer = Scorer(bank, graph, corpus, config=ScoreConfig())
 
 queries = [

@@ -6,7 +6,7 @@ maps query words onto existing detectors, and a commonsense concept graph
 have none. Rank-based evaluation (r@k, median/mean rank) sits on top.
 """
 
-from .cooccur import CooccurrenceModel
+from .cooccur import CooccurrenceModel, parse_tags_jsonl
 from .detectors import DetectorBank
 from .errors import (
     EvaluationError,
@@ -69,6 +69,7 @@ __all__ = [
     "format_table",
     "load_queries",
     "parse_relations_csv",
+    "parse_tags_jsonl",
     "partition_query",
     "rank_images",
     "rank_of_ground_truth",

@@ -12,7 +12,7 @@ import sys
 from dataclasses import fields as dataclass_fields
 
 from . import evaluation, knowledge, scoring, snapshot, text
-from .cooccur import CooccurrenceModel
+from .cooccur import CooccurrenceModel, parse_tags_jsonl
 from .detectors import DetectorBank
 from .errors import EvaluationError, IngestError, SnapshotError, open_text
 from .evaluation import EvalReport, compute_report, format_table, load_queries
@@ -129,8 +129,7 @@ def resolve_config(args) -> ScoreConfig:
 
 def _load_scorer(args) -> Scorer:
     config = resolve_config(args)
-    bank, graph, corpus, word_classes = snapshot.load(
-        args.snapshot, min_weight=config.min_weight)
+    bank, graph, corpus, word_classes = snapshot.load(args.snapshot)
     return Scorer(bank, graph, corpus, word_classes, config)
 
 
@@ -143,10 +142,12 @@ def _check_word_classes(scorer: Scorer, tiers: int = scoring.KNOWLEDGE) -> None:
 
 def cmd_ingest(args) -> int:
     bank = DetectorBank.from_jsonl(args.detectors)
-    relations = knowledge.parse_relations_csv(args.graph)
-    corpus = CooccurrenceModel.from_jsonl(args.corpus)
+    graph = knowledge.KnowledgeGraph.project(knowledge.parse_relations_csv(args.graph),
+                                             bank.stem_index)
+    corpus = CooccurrenceModel.project(parse_tags_jsonl(args.corpus).values(),
+                                       bank.stem_index)
     word_classes = WordClassMap.from_csv(args.word_classes) if args.word_classes else None
-    snapshot.save(args.snapshot, bank, relations, corpus, word_classes)
+    snapshot.save(args.snapshot, bank, graph, corpus, word_classes)
     print(f"snapshot written to {args.snapshot}")
     return EXIT_OK
 
@@ -163,7 +164,7 @@ def cmd_classify(args) -> int:
             entry = {"word": word, "class": "detectable"}
         elif word in partition.stem_detectable:
             entry = {"word": word, "class": "stem-detectable",
-                     "via": sorted(scorer.bank.st_det(word))}
+                     "via": sorted(scorer.bank.stem_index[token.stem])}
         elif word in partition.related:
             entry = {"word": word, "class": "cn-detectable",
                      "via": sorted(partition.related[word])}

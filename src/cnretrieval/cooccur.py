@@ -1,9 +1,11 @@
-"""Tag-corpus co-occurrence counts and the conditional estimates they yield.
+"""Tag-corpus co-occurrence counts, projected onto a detector vocabulary.
 
-The corpus is stored and indexed as stems: raw tags are lowercased and
-stemmed once, in :meth:`CooccurrenceModel.from_jsonl`. Counts are over
-images, not tag occurrences. Conditioning on a word never seen in the
-corpus yields probability 0 (no evidence), as does conditioning on the
+Raw tags are lowercased and stemmed once, in :func:`parse_tags_jsonl`.
+Scoring reads the corpus only through the number of images, each stem's
+document frequency, and each stem's co-counts with the tag stems that have
+a detector, so :meth:`CooccurrenceModel.project` keeps just those. Counts
+are over images, not tag occurrences. Conditioning on a word never seen in
+the corpus yields probability 0 (no evidence), as does conditioning on the
 absence of a word present in every image.
 """
 
@@ -16,94 +18,95 @@ from . import text
 from .errors import IngestError, open_text
 
 
-@dataclass
-class CooccurrenceModel:
-    """Document frequencies and pair counts over a stemmed tag corpus."""
+def parse_tags_jsonl(path) -> dict[str, frozenset[str]]:
+    """Parse a tag corpus file, one ``{"image": ..., "tags": [...]}`` per line,
+    into each image's set of lowercased, stemmed tags."""
+    tag_sets: dict[str, frozenset[str]] = {}
+    with open_text(path) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                obj = json.loads(line)
+            except (ValueError, RecursionError) as exc:
+                raise IngestError(f"invalid JSON: {exc}", path=path, line=lineno)
+            if not isinstance(obj, dict) or "image" not in obj or \
+                    not isinstance(obj.get("tags"), list):
+                raise IngestError("expected image and tags fields", path=path, line=lineno)
+            image = str(obj["image"])
+            if image in tag_sets:
+                raise IngestError(f"duplicate image id {image!r}", path=path, line=lineno)
+            tag_sets[image] = text.stem_set(str(t).lower() for t in obj["tags"])
+    return tag_sets
 
-    n_images: int
-    tag_sets: dict[str, frozenset[str]]  # image id -> stemmed tag set
-    df: dict[str, int]
-    _image_index: dict[str, frozenset[str]] = field(default_factory=dict, repr=False)
+
+@dataclass(frozen=True)
+class CooccurrenceModel:
+    """Document frequencies, and co-counts with the tag stems that have a detector."""
+
+    n_images: int = 0
+    #: tag stem -> images tagged with it
+    df: dict[str, int] = field(default_factory=dict)
+    #: tag stem -> {partner: images tagged with both}, in partner order; a
+    #: partner is another tag stem that is, or stems to, a detector stem
+    co_counts: dict[str, dict[str, int]] = field(default_factory=dict)
+    #: tag stem -> its stem, for every tag stem whose stem has a detector
+    detectable: dict[str, str] = field(default_factory=dict)
 
     @classmethod
-    def build(cls, tagged_images) -> "CooccurrenceModel":
-        """Construct from (image id, iterable of tag stems) pairs, indexed as given."""
-        tag_sets: dict[str, frozenset[str]] = {}
+    def project(cls, tag_sets, detector_stems) -> "CooccurrenceModel":
+        """Count a corpus given as one set of tag stems per image, keeping the
+        co-counts with partners of ``detector_stems``, the stems that have a
+        detector."""
+        tag_sets = list(tag_sets)
         df: dict[str, int] = {}
-        index: dict[str, set[str]] = {}  # stem -> ids of the images tagged with it
-        for image, tags in tagged_images:
-            if image in tag_sets:
-                raise IngestError(f"duplicate image id {image!r}")
-            tag_sets[image] = stems = frozenset(tags)
-            for s in stems:
-                df[s] = df.get(s, 0) + 1
-                index.setdefault(s, set()).add(image)
+        for tags in tag_sets:
+            for t in tags:
+                df[t] = df.get(t, 0) + 1
+        detectable = {t: s for t in sorted(df) if (s := text.stem(t)) in detector_stems}
+        partners = detectable.keys() | (df.keys() & detector_stems)
+        co_counts: dict[str, dict[str, int]] = {}
+        for tags in tag_sets:
+            found = [t for t in tags if t in partners]
+            if not found:
+                continue
+            for s in tags:
+                row = co_counts.setdefault(s, {})
+                for t in found:
+                    if t != s:
+                        row[t] = row.get(t, 0) + 1
         return cls(
             n_images=len(tag_sets),
-            tag_sets=tag_sets,
-            df=df,
-            _image_index={s: frozenset(images) for s, images in index.items()},
+            df=dict(sorted(df.items())),
+            co_counts={s: dict(sorted(row.items())) for s, row in sorted(co_counts.items())
+                       if row},
+            detectable=detectable,
         )
 
-    @classmethod
-    def from_jsonl(cls, path) -> "CooccurrenceModel":
-        """Load a tag corpus file: one ``{"image": ..., "tags": [...]}`` per line;
-        tags are lowercased and stemmed."""
-        tagged = []
-        seen = set()
-        with open_text(path) as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    obj = json.loads(line)
-                except (ValueError, RecursionError) as exc:
-                    raise IngestError(f"invalid JSON: {exc}", path=path, line=lineno)
-                if not isinstance(obj, dict) or "image" not in obj or \
-                        not isinstance(obj.get("tags"), list):
-                    raise IngestError("expected image and tags fields",
-                                      path=path, line=lineno)
-                image = str(obj["image"])
-                if image in seen:
-                    raise IngestError(f"duplicate image id {image!r}",
-                                      path=path, line=lineno)
-                seen.add(image)
-                tags = (str(t).lower() for t in obj["tags"])
-                tagged.append((image, text.stem_set(tags)))
-        return cls.build(tagged)
+    def co_count(self, stem: str, detector_stem: str) -> int:
+        """Number of images tagged with both stems, the second one a detector stem."""
+        if stem == detector_stem:
+            return self.df.get(stem, 0)
+        row = self.co_counts.get(stem)
+        return row.get(detector_stem, 0) if row else 0
 
-    def co_count(self, a: str, b: str) -> int:
-        """Number of images whose tag sets contain both stems (inputs are stemmed)."""
-        a, b = text.stem(a), text.stem(b)
-        if a == b:
-            return self.df.get(a, 0)
-        imgs_a = self._image_index.get(a)
-        imgs_b = self._image_index.get(b)
-        return len(imgs_a & imgs_b) if imgs_a and imgs_b else 0
-
-    def doc_freq(self, word: str) -> int:
-        return self.df.get(text.stem(word), 0)
-
-    def cond_prob(self, w: str, given: str) -> float:
-        """P(w | given): share of images tagged with ``given`` also tagged with ``w``."""
-        denom = self.doc_freq(given)
+    def cond_prob(self, stem: str, given: str) -> float:
+        """P(stem | given): share of images tagged with ``given`` also tagged with ``stem``."""
+        denom = self.df.get(given, 0)
         if denom == 0:
             return 0.0
-        return self.co_count(w, given) / denom
+        return self.co_count(stem, given) / denom
 
-    def cond_prob_neg(self, w: str, given: str) -> float:
-        """P(w | not given): share of images lacking ``given`` that are tagged with ``w``."""
-        denom = self.n_images - self.doc_freq(given)
+    def cond_prob_neg(self, stem: str, given: str) -> float:
+        """P(stem | not given): share of images lacking ``given`` tagged with ``stem``."""
+        denom = self.n_images - self.df.get(given, 0)
         if denom == 0:
             return 0.0
-        return (self.doc_freq(w) - self.co_count(w, given)) / denom
+        return (self.df.get(stem, 0) - self.co_count(stem, given)) / denom
 
-    def co_occurring(self, word: str) -> frozenset[str]:
-        """All stems sharing at least one image with the stem of ``word``, itself excluded."""
-        word_stem = text.stem(word)
-        related: set[str] = set()
-        for image in self._image_index.get(word_stem, ()):
-            related.update(self.tag_sets[image])
-        related.discard(word_stem)
-        return frozenset(related)
+    def co_occurring(self, stem: str) -> dict[str, str]:
+        """Tag stems sharing an image with ``stem`` whose stem has a detector,
+        each mapped to that stem, in tag order; ``stem`` itself is excluded."""
+        detectable = self.detectable
+        return {t: detectable[t] for t in self.co_counts.get(stem, ()) if t in detectable}

@@ -21,12 +21,13 @@ class DetectorBank:
     images: tuple[str, ...]
     scores: dict[str, dict[str, float]]  # image id -> {word: score}
     stem_index: dict[str, frozenset[str]] = field(default_factory=dict)
+    vocab_set: frozenset[str] = field(default_factory=frozenset, repr=False)
 
     @classmethod
     def build(cls, vocab, image_scores) -> "DetectorBank":
         """Construct from a vocabulary and {image: {word: score}} mapping."""
         vocab = tuple(vocab)
-        vocab_set = set(vocab)
+        vocab_set = frozenset(vocab)
         if len(vocab) != len(vocab_set):
             raise IngestError("duplicate word in vocabulary")
         scores = {}
@@ -53,6 +54,7 @@ class DetectorBank:
             images=tuple(scores),
             scores=scores,
             stem_index=frozen_index,
+            vocab_set=vocab_set,
         )
 
     @classmethod
@@ -103,16 +105,8 @@ class DetectorBank:
         except KeyError:
             raise UnknownImageError(f"unknown image id {image!r}") from None
 
-    @property
-    def _vocab_set(self) -> frozenset[str]:
-        cached = self.__dict__.get("_vocab_set_cache")
-        if cached is None:
-            cached = frozenset(self.vocab)
-            object.__setattr__(self, "_vocab_set_cache", cached)
-        return cached
-
     def is_detectable(self, word: str) -> bool:
-        return word in self._vocab_set
+        return word in self.vocab_set
 
     def st_det(self, word: str) -> frozenset[str]:
         """Vocabulary words sharing the stem of ``word``; may be empty."""

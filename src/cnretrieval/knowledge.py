@@ -1,9 +1,13 @@
-"""Commonsense graph ingestion and neighbor lookup.
+"""Commonsense graph ingestion, projected onto a detector vocabulary.
 
-Edges are undirected for neighbor queries: an edge (a, R, b) makes b a
-neighbor of a and a a neighbor of b. Multiword concepts are dropped from
-neighbor results (downstream estimation needs a single detectable word), and
-stem-equal edges such as "pen AtLocation pen" are discarded as noise.
+Edges are undirected: an edge (a, R, b) makes b a neighbor of a and a a
+neighbor of b. Multiword concepts are dropped (downstream estimation needs a
+single detectable word), and stem-equal edges such as "pen AtLocation pen"
+are discarded as noise. Scoring reads a neighbor only through its detectors,
+so :meth:`KnowledgeGraph.project` keeps, for each stem, just the neighbors
+whose stem has a detector, each with the best weight of an edge to it. The
+``min_weight`` threshold is a filter applied when a row is read, so one
+projection serves every threshold. Relation types are not kept.
 """
 
 from __future__ import annotations
@@ -34,67 +38,57 @@ class Relation(NamedTuple):
 
 @dataclass(frozen=True)
 class KnowledgeGraph:
-    """Filtered concept graph with stem-keyed neighbor lookup."""
+    """Graph neighbors that have a detector, keyed by the stem they neighbor."""
 
-    min_weight: float
-    allowed_rel_types: frozenset[str] | None  # None means all types
-    adjacency: dict[str, frozenset[str]] = field(default_factory=dict)
-    edge_weights: dict[frozenset[str], float] = field(default_factory=dict)
+    #: stem -> ((neighbor, its stem, best weight of an edge to it), ...), by neighbor
+    rows: dict[str, tuple[tuple[str, str, float], ...]] = field(default_factory=dict)
+    #: heaviest retained edge anywhere in the graph, the graph-weight normaliser
     max_weight: float = 1.0
 
     @classmethod
-    def from_relations(cls, relations, min_weight=1.0,
-                       allowed_rel_types=None) -> "KnowledgeGraph":
-        """Build the graph from (rel_type, start, end, weight) tuples, applying
-        the configured filters. No neighbor of a word shares its stem."""
-        allowed = None if allowed_rel_types is None else frozenset(allowed_rel_types)
+    def project(cls, relations, detector_stems) -> "KnowledgeGraph":
+        """Project (rel_type, start, end, weight) edges onto ``detector_stems``,
+        the stems that have a detector. No neighbor of a word shares its stem."""
         skipped_multiword = 0
-        adjacency: dict[str, set[str]] = {}
-        edge_weights: dict[frozenset[str], float] = {}
-        for rel_type, start, end, weight in relations:
-            if weight < min_weight:
-                continue
-            if allowed is not None and rel_type not in allowed:
-                continue
+        max_weight = 0.0
+        rows: dict[str, dict[str, float]] = {}  # stem -> {neighbor: best weight}
+        for _, start, end, weight in relations:
             if " " in start or " " in end:
                 skipped_multiword += 1
                 continue
             start_stem, end_stem = text.stem(start), text.stem(end)
             if start_stem == end_stem:
                 continue  # self-loop / stem-equal noise
-            adjacency.setdefault(start_stem, set()).add(end)
-            adjacency.setdefault(end_stem, set()).add(start)
-            key = frozenset((start_stem, end_stem))
-            edge_weights[key] = max(edge_weights.get(key, 0.0), weight)
+            max_weight = max(max_weight, weight)
+            for stem, other, other_stem in ((start_stem, end, end_stem),
+                                            (end_stem, start, start_stem)):
+                if other_stem in detector_stems:
+                    row = rows.setdefault(stem, {})
+                    row[other] = max(row.get(other, 0.0), weight)
         if skipped_multiword:
             log.info("dropped %d multiword-concept edges", skipped_multiword)
-        max_weight = max(edge_weights.values(), default=1.0)
         return cls(
-            min_weight=min_weight,
-            allowed_rel_types=allowed,
-            adjacency={s: frozenset(ns) for s, ns in adjacency.items()},
-            edge_weights=edge_weights,
+            rows={s: tuple((c, text.stem(c), row[c]) for c in sorted(row))
+                  for s, row in sorted(rows.items())},
             max_weight=max_weight if max_weight > 0 else 1.0,
         )
 
-    @classmethod
-    def from_csv(cls, path, min_weight=1.0, allowed_rel_types=None) -> "KnowledgeGraph":
-        """Load an edge file: CSV with header ``rel_type,start,end,weight``."""
-        return cls.from_relations(parse_relations_csv(path), min_weight=min_weight,
-                                  allowed_rel_types=allowed_rel_types)
+    def neighbors(self, stem: str, min_weight: float) -> dict[str, str]:
+        """Detectable neighbors of ``stem`` through an edge of at least
+        ``min_weight``, each mapped to its own stem, in neighbor order."""
+        return {c: s for c, s, weight in self.rows.get(stem, ()) if weight >= min_weight}
 
-    def neighbors(self, word: str) -> frozenset[str]:
-        """Single-token concepts connected to the stem of ``word``, either direction."""
-        return self.adjacency.get(text.stem(word), frozenset())
-
-    def edge_weight(self, a: str, b: str) -> float:
-        """Best confidence among retained edges linking the stems of a and b; 0 if none."""
-        return self.edge_weights.get(frozenset((text.stem(a), text.stem(b))), 0.0)
+    def edge_weight(self, stem: str, detector_stem: str, min_weight: float) -> float:
+        """Best weight of an edge of at least ``min_weight`` linking two stems,
+        the second one with a detector; 0 if none."""
+        best = max((w for _, s, w in self.rows.get(stem, ()) if s == detector_stem),
+                   default=0.0)
+        return best if best >= min_weight else 0.0
 
 
 def parse_relations_csv(path) -> list[Relation]:
     """Parse an edge CSV without filtering. Concepts are lowercased and
-    underscores become spaces; filtering happens at graph construction.
+    underscores become spaces; filtering happens at projection.
     An empty concept or a weight that is negative or not finite is an error."""
     relations = []
     with open_text(path) as fh:
@@ -135,6 +129,7 @@ class RelatednessSource:
     variant: str  # GRAPH or CORPUS_COOCCURRENCE
     graph: KnowledgeGraph | None = None
     corpus: object | None = None
+    min_weight: float = 1.0  # graph edges lighter than this are ignored
 
     def __post_init__(self):
         if self.variant == GRAPH:
@@ -146,11 +141,10 @@ class RelatednessSource:
         else:
             raise ValueError(f"unknown relatedness variant {self.variant!r}")
 
-    def related_detectable(self, word: str, bank) -> frozenset[str]:
-        """Related concepts that have a stem-matching detector: graph neighbors,
-        or stemmed tags that co-occur with ``word`` in some corpus image."""
+    def related_detectable(self, stem: str) -> dict[str, str]:
+        """Concepts related to a query word's ``stem`` that have a
+        stem-matching detector, each mapped to its stem, in concept order:
+        graph neighbors, or tag stems that co-occur with it in a corpus image."""
         if self.variant == GRAPH:
-            related = self.graph.neighbors(word)
-        else:
-            related = self.corpus.co_occurring(word)
-        return frozenset(c for c in related if bank.st_det(c))
+            return self.graph.neighbors(stem, self.min_weight)
+        return self.corpus.co_occurring(stem)

@@ -66,8 +66,8 @@ class WordPartition:
     detectable: frozenset[str]
     stem_detectable: frozenset[str]
     undetected: frozenset[str]
-    #: each knowledge-tier word -> its related detectable words
-    related: dict[str, frozenset[str]]
+    #: each knowledge-tier word -> {related detectable word: its stem}, in word order
+    related: dict[str, dict[str, str]]
 
 
 def log_product(factors, eps: float) -> float:
@@ -94,7 +94,7 @@ def partition_query(tokens, bank, relatedness: RelatednessSource,
         elif tiers >= STEM and token.stem in bank.stem_index:
             stem_det.add(word)
         elif tiers >= KNOWLEDGE and _passes_cn_gate(word, config, word_classes) \
-                and (found := relatedness.related_detectable(word, bank)):
+                and (found := relatedness.related_detectable(token.stem)):
             related[word] = found
         else:
             undetected.add(word)
@@ -134,7 +134,7 @@ class QueryPlan:
     ``factors`` holds one (aggregator, terms) pair per scored word, in sum
     order: sorted detector words, sorted stem words, then sorted knowledge
     words. A detector or stem word is a single term; a knowledge word has one
-    term per related detectable word, in sorted order.
+    term per related detectable word, in that word's order.
     """
 
     bank: DetectorBank
@@ -173,7 +173,8 @@ class Scorer:
         self.word_classes = word_classes
         self.config = config or ScoreConfig()
         self.relatedness = RelatednessSource(variant=self.config.relatedness,
-                                             graph=graph, corpus=cooccur)
+                                             graph=graph, corpus=cooccur,
+                                             min_weight=self.config.min_weight)
 
     def with_config(self, **overrides) -> "Scorer":
         return Scorer(self.bank, self.graph, self.cooccur, self.word_classes,
@@ -197,14 +198,15 @@ class Scorer:
         ]
         factors += [
             (self.config.aggregator, tuple(
-                (tuple(self.bank.st_det(r)), *self._coefficients(w, r))
-                for r in sorted(partition.related[w])))
+                (tuple(self.bank.stem_index[r]), *self._coefficients(stems[w], r))
+                for r in partition.related[w].values()))
             for w in sorted(partition.related)
         ]
         return QueryPlan(self.bank, tuple(factors), self.config.clamp_epsilon)
 
-    def _coefficients(self, w: str, related: str) -> tuple[float, float]:
-        """(c1, c0) of w's estimate through one related detectable word.
+    def _coefficients(self, stem: str, related: str) -> tuple[float, float]:
+        """(c1, c0) of the estimate of a word with stem ``stem`` through one
+        related detectable word with stem ``related``.
 
         Total-probability form: P(w|rel) * q + P(w|not rel) * (1 - q). The
         constant-one estimator collapses this to q; the graph-weight
@@ -215,10 +217,11 @@ class Scorer:
         if estimator == CORPUS:
             if self.cooccur is None:
                 raise ValueError("corpus estimator needs a co-occurrence model")
-            return (self.cooccur.cond_prob(w, related),
-                    self.cooccur.cond_prob_neg(w, related))
+            return (self.cooccur.cond_prob(stem, related),
+                    self.cooccur.cond_prob_neg(stem, related))
         if estimator == CONSTANT_ONE:
             return 1.0, 0.0
         if self.graph is None:
             raise ValueError("graph_weight estimator needs a knowledge graph")
-        return min(self.graph.edge_weight(w, related) / self.graph.max_weight, 1.0), 0.0
+        weight = self.graph.edge_weight(stem, related, self.config.min_weight)
+        return min(weight / self.graph.max_weight, 1.0), 0.0

@@ -1,10 +1,14 @@
 """Versioned binary snapshot of the ingested sources.
 
-The snapshot stores the parsed data (vocabulary, score rows, relations as
-plain tuples, and the corpus as each image's tag stems) rather than the
-built objects, so loading rebuilds indexes under the active configuration;
-it indexes the stored stems and never stems a corpus tag. All containers
-are canonicalized (sorted) and each distinct string is written once, which
+The snapshot stores the detector vocabulary and score rows, and the graph
+and tag corpus already projected onto that vocabulary (see
+:meth:`KnowledgeGraph.project` and :meth:`CooccurrenceModel.project`):
+for each stem its detectable neighbors with their best edge weights and the
+heaviest edge, and the corpus's image count, document frequencies and
+co-counts with detectable tag stems. Loading unpickles these tables as they
+are and builds the detector bank, which stems the vocabulary and nothing
+else; the ``min_weight`` threshold is applied when a row is read, so one
+snapshot serves every config. Each distinct string is written once, which
 makes re-ingesting identical inputs byte-identical.
 """
 
@@ -18,12 +22,12 @@ from .errors import SnapshotError
 from .knowledge import KnowledgeGraph
 from .text import WordClassMap
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
-def save(path, bank: DetectorBank, relations, corpus: CooccurrenceModel,
+def save(path, bank: DetectorBank, graph: KnowledgeGraph, corpus: CooccurrenceModel,
          word_classes: WordClassMap | None = None) -> None:
-    """Persist parsed sources; ``relations`` are the unfiltered graph edges."""
+    """Persist the bank and the projected graph and corpus tables."""
     # one object per distinct string: pickle writes each once, and the bytes
     # depend on the values only, not on which objects happen to be shared
     pool: dict[str, str] = {}
@@ -38,11 +42,17 @@ def save(path, bank: DetectorBank, relations, corpus: CooccurrenceModel,
             one(image): {one(w): v for w, v in sorted(bank.scores[image].items())}
             for image in sorted(bank.scores)
         },
-        "relations": [(one(rel_type), one(start), one(end), weight)
-                      for rel_type, start, end, weight in sorted(relations)],
+        "graph": {
+            "rows": {one(s): tuple((one(c), one(k), w) for c, k, w in row)
+                     for s, row in graph.rows.items()},
+            "max_weight": graph.max_weight,
+        },
         "corpus": {
-            one(image): [one(s) for s in sorted(corpus.tag_sets[image])]
-            for image in sorted(corpus.tag_sets)
+            "n_images": corpus.n_images,
+            "df": {one(s): n for s, n in corpus.df.items()},
+            "co_counts": {one(s): {one(t): n for t, n in row.items()}
+                          for s, row in corpus.co_counts.items()},
+            "detectable": {one(t): one(s) for t, s in corpus.detectable.items()},
         },
         "word_classes": {one(w): one(c) for w, c in sorted(word_classes.entries.items())}
         if word_classes is not None else None,
@@ -51,11 +61,10 @@ def save(path, bank: DetectorBank, relations, corpus: CooccurrenceModel,
         pickle.dump(payload, fh, protocol=4)
 
 
-def load(path, min_weight: float = 1.0, allowed_rel_types=None):
+def load(path):
     """Rebuild (bank, graph, corpus, word_classes) from a snapshot file.
 
-    Graph filters are applied at load time so one snapshot serves any config.
-    Any file that is not a readable snapshot raises SnapshotError.
+    Any file that is not a readable snapshot of this format raises SnapshotError.
     """
     try:
         with open(path, "rb") as fh:
@@ -67,16 +76,23 @@ def load(path, min_weight: float = 1.0, allowed_rel_types=None):
         raise SnapshotError(f"{path} is not a snapshot file")
     version = payload["format_version"]
     if version != FORMAT_VERSION:
-        raise SnapshotError(
-            f"snapshot format version {version} unsupported (expected {FORMAT_VERSION})"
-        )
+        raise SnapshotError(f"{path}: snapshot format version {version} is not supported "
+                            f"(expected {FORMAT_VERSION}); re-ingest the sources")
     try:
         bank = DetectorBank.build(payload["vocab"], payload["scores"])
-        graph = KnowledgeGraph.from_relations(payload["relations"], min_weight=min_weight,
-                                              allowed_rel_types=allowed_rel_types)
-        corpus = CooccurrenceModel.build(payload["corpus"].items())
-        classes = payload.get("word_classes")
-        word_classes = None if classes is None else WordClassMap(entries=dict(classes))
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        g, c = payload["graph"], payload["corpus"]
+        graph = KnowledgeGraph(rows=_dict(g["rows"]), max_weight=float(g["max_weight"]))
+        corpus = CooccurrenceModel(n_images=int(c["n_images"]), df=_dict(c["df"]),
+                                   co_counts=_dict(c["co_counts"]),
+                                   detectable=_dict(c["detectable"]))
+        classes = payload["word_classes"]
+        word_classes = None if classes is None else WordClassMap(entries=_dict(classes))
+    except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
         raise SnapshotError(f"{path} is not a valid snapshot: {exc!r}") from None
     return bank, graph, corpus, word_classes
+
+
+def _dict(value) -> dict:
+    if not isinstance(value, dict):
+        raise TypeError(f"expected a table, got {type(value).__name__}")
+    return value

@@ -50,9 +50,9 @@ TINY_CORPUS = [
 
 
 def stemmed(tagged):
-    """(image, raw tags) pairs as the (image, tag stems) pairs that
-    CooccurrenceModel.build indexes."""
-    return [(image, stem_set(tags)) for image, tags in tagged]
+    """(image, raw tags) pairs as the per-image tag stem sets that
+    CooccurrenceModel.project counts."""
+    return [stem_set(tags) for _, tags in tagged]
 
 
 TINY_WORD_CLASSES = {
@@ -67,13 +67,13 @@ def bank():
 
 
 @pytest.fixture
-def graph():
-    return KnowledgeGraph.from_relations(TINY_EDGES, min_weight=1.0)
+def graph(bank):
+    return KnowledgeGraph.project(TINY_EDGES, bank.stem_index)
 
 
 @pytest.fixture
-def corpus():
-    return CooccurrenceModel.build(stemmed(TINY_CORPUS))
+def corpus(bank):
+    return CooccurrenceModel.project(stemmed(TINY_CORPUS), bank.stem_index)
 
 
 @pytest.fixture

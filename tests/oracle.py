@@ -41,23 +41,34 @@ def stem_max(world, word, image):
     return best
 
 
-def neighbors(world, word, min_weight=1.0, allowed_rel_types=None):
+def kept_edges(world, min_weight=1.0):
+    """Edges between two distinct single-word stems, at least ``min_weight``."""
+    for _, start, end, weight in world.edges:
+        if weight >= min_weight and " " not in start + end and stem(start) != stem(end):
+            yield start, end, weight
+
+
+def neighbors(world, word, min_weight=1.0):
     found = set()
     ws = stem(word)
-    for rel_type, start, end, weight in world.edges:
-        if weight < min_weight:
-            continue
-        if allowed_rel_types is not None and rel_type not in allowed_rel_types:
-            continue
-        if " " in start or " " in end:
-            continue
-        if stem(start) == stem(end):
-            continue
+    for start, end, _ in kept_edges(world, min_weight):
         if stem(start) == ws:
             found.add(end)
         if stem(end) == ws:
             found.add(start)
     return {c for c in found if stem(c) != ws}
+
+
+def edge_weight(world, a, b, min_weight=1.0):
+    """Best weight of a kept edge linking the stems of a and b; 0 if none."""
+    pair = {stem(a), stem(b)}
+    return max((w for start, end, w in kept_edges(world, min_weight)
+                if {stem(start), stem(end)} == pair), default=0.0)
+
+
+def max_weight(world, min_weight=1.0):
+    heaviest = max((w for _, _, w in kept_edges(world, min_weight)), default=1.0)
+    return heaviest if heaviest > 0 else 1.0
 
 
 def esp_related(world, word):
@@ -95,20 +106,22 @@ def cond_prob_neg(world, w, given):
     return (count_images_with(world, w) - count_images_with(world, w, given)) / denom
 
 
-def pair_estimate(world, w, related, image, estimator="corpus"):
+def pair_estimate(world, w, related, image, estimator="corpus", min_weight=1.0):
     q = stem_max(world, related, image)
     if estimator == "corpus":
         return cond_prob(world, w, related) * q \
             + cond_prob_neg(world, w, related) * (1.0 - q)
     if estimator == "constant_one":
         return q
+    if estimator == "graph_weight":
+        weight = edge_weight(world, w, related, min_weight) / max_weight(world, min_weight)
+        return min(weight, 1.0) * q
     raise ValueError(estimator)
 
 
-def related_detectable(world, word, relatedness="graph", min_weight=1.0,
-                       allowed_rel_types=None):
+def related_detectable(world, word, relatedness="graph", min_weight=1.0):
     if relatedness == "graph":
-        rel = neighbors(world, word, min_weight, allowed_rel_types)
+        rel = neighbors(world, word, min_weight)
     else:
         rel = esp_related(world, word)
     return {c for c in rel if st_det(world, c)}
@@ -131,7 +144,7 @@ def aggregate(values, aggregator):
 
 
 def partition(world, words, relatedness="graph", min_weight=1.0,
-              allowed_rel_types=None, stopword_filter=True, noun_only=False):
+              stopword_filter=True, noun_only=False):
     detectable, stem_det, cn_det, undetected = set(), set(), set(), set()
     for w in words:
         if w in world.vocab:
@@ -141,8 +154,7 @@ def partition(world, words, relatedness="graph", min_weight=1.0,
         else:
             gated = (stopword_filter and w in STOPWORDS) or \
                 (noun_only and world.word_classes.get(w, "other") != NOUN)
-            if not gated and related_detectable(world, w, relatedness,
-                                                min_weight, allowed_rel_types):
+            if not gated and related_detectable(world, w, relatedness, min_weight):
                 cn_det.add(w)
             else:
                 undetected.add(w)
@@ -169,15 +181,15 @@ def milstem(world, words, image, eps=EPS):
 
 
 def cn(world, words, image, aggregator="max", relatedness="graph",
-       estimator="corpus", min_weight=1.0, allowed_rel_types=None,
-       stopword_filter=True, noun_only=False, eps=EPS):
+       estimator="corpus", min_weight=1.0, stopword_filter=True, noun_only=False,
+       eps=EPS):
     product = milstem(world, words, image, eps)
     _, _, cn_words, _ = partition(world, words, relatedness, min_weight,
-                                  allowed_rel_types, stopword_filter, noun_only)
+                                  stopword_filter, noun_only)
     for w in cn_words:
-        related = related_detectable(world, w, relatedness, min_weight,
-                                     allowed_rel_types)
-        estimates = [pair_estimate(world, w, r, image, estimator) for r in related]
+        related = related_detectable(world, w, relatedness, min_weight)
+        estimates = [pair_estimate(world, w, r, image, estimator, min_weight)
+                     for r in related]
         product *= max(aggregate(estimates, aggregator), eps)
     return product
 

@@ -10,7 +10,6 @@ import time
 from contextlib import contextmanager
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from cnretrieval import (
@@ -25,6 +24,7 @@ from cnretrieval import (
     Scorer,
     compute_report,
     rank_images,
+    stem,
     tokenize,
 )
 
@@ -84,9 +84,8 @@ def make_world(rng, n_images=6, ensure_cn_word=None):
 def build_scorer(world, **config_kwargs):
     config = ScoreConfig(**config_kwargs)
     bank = DetectorBank.build(world.vocab, world.scores)
-    graph = KnowledgeGraph.from_relations(
-        [Relation(*e) for e in world.edges], min_weight=config.min_weight)
-    corpus = CooccurrenceModel.build(stemmed(world.corpus))
+    graph = KnowledgeGraph.project([Relation(*e) for e in world.edges], bank.stem_index)
+    corpus = CooccurrenceModel.project(stemmed(world.corpus), bank.stem_index)
     return Scorer(bank, graph, corpus, None, config)
 
 
@@ -164,10 +163,12 @@ def test_cooccurrence_law_of_total_counts():
     with criterion("co-occurrence law of total counts: exact on 100 random corpora"):
         rng = random.Random(404)
         for _ in range(100):
-            corpus = CooccurrenceModel.build(stemmed([
+            tag_sets = stemmed([
                 (f"e{k}", rng.sample(BASE_WORDS, rng.randint(1, 6)))
                 for k in range(rng.randint(1, 10))
-            ]))
+            ])
+            # every stem has a detector, so every co-count is kept
+            corpus = CooccurrenceModel.project(tag_sets, set().union(*tag_sets))
             n = corpus.n_images
             for w in corpus.df:
                 for g in corpus.df:
@@ -211,12 +212,12 @@ def test_underflow_ranking_matches_rational_oracle():
 def test_random_baseline_mean_rank():
     with criterion("random baseline: mean rank near (N+1)/2 = 2500.5"):
         start = time.perf_counter()
-        rng = np.random.default_rng(606)
+        rng = random.Random(606)
         n_images = 5000
         images = [f"i{k:04d}" for k in range(n_images)]
         queries = [
             QueryRecord(query_id=f"q{k}", text="word",
-                        ground_truth=frozenset([images[rng.integers(n_images)]]),
+                        ground_truth=frozenset([images[rng.randrange(n_images)]]),
                         protocol="single-word")
             for k in range(2000)
         ]
@@ -225,7 +226,7 @@ def test_random_baseline_mean_rank():
         def score_fn(query, image):
             if state["qid"] != query.query_id:
                 state["qid"] = query.query_id
-                state["scores"] = dict(zip(images, rng.random(n_images)))
+                state["scores"] = {image: rng.random() for image in images}
             return state["scores"][image]
 
         report = compute_report(queries, score_fn, images)
@@ -290,10 +291,12 @@ def test_threshold_antitonicity():
             world = make_world(rng, ensure_cn_word=cn_word)
             relations = [Relation(*e) for e in world.edges]
             low_t, high_t = sorted([rng.uniform(0, 1.5), rng.uniform(0.5, 3)])
-            low = KnowledgeGraph.from_relations(relations, min_weight=low_t)
-            high = KnowledgeGraph.from_relations(relations, min_weight=high_t)
+            # a vocabulary holding every stem keeps every neighbor
+            graph = KnowledgeGraph.project(relations, {stem(w) for e in relations
+                                                       for w in e[1:3]})
             for word in rng.sample(BASE_WORDS + EXTRA_WORDS, 6):
-                assert high.neighbors(word) <= low.neighbors(word)
+                assert graph.neighbors(stem(word), high_t).keys() <= \
+                    graph.neighbors(stem(word), low_t).keys()
 
             tokens = tokenize(f"{random_query(rng, world)} {cn_word}")
             low_scorer = build_scorer(world, min_weight=low_t)
@@ -310,13 +313,13 @@ def test_end_to_end_chef_scenario():
             TINY_CORPUS, dict(TINY_WORD_CLASSES),
         )
         bank = DetectorBank.build(TINY_VOCAB, TINY_SCORES)
-        graph = KnowledgeGraph.from_relations(TINY_EDGES, min_weight=1.0)
-        corpus = CooccurrenceModel.build(stemmed(TINY_CORPUS))
+        graph = KnowledgeGraph.project(TINY_EDGES, bank.stem_index)
+        corpus = CooccurrenceModel.project(stemmed(TINY_CORPUS), bank.stem_index)
         scorer = Scorer(bank, graph, corpus, None, ScoreConfig(aggregator="max"))
         tokens = tokenize("a chef")
         words = [t.surface for t in tokens]
 
-        assert graph.neighbors("chef") == {"person", "dish", "kitchen"}
+        assert set(graph.neighbors("chef", 1.0)) == {"person", "dish", "kitchen"}
         assert not bank.st_det("chef")
 
         cn_ranking = rank_images(bank.images, scorer.plan(tokens).log_score)

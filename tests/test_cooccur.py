@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cnretrieval import CooccurrenceModel, IngestError
+from cnretrieval import CooccurrenceModel, IngestError, parse_tags_jsonl, stem
 
 import oracle
 from conftest import stemmed
@@ -20,6 +20,13 @@ def random_corpus(rng, max_images=12):
     ]
 
 
+def project_all(tagged):
+    """The corpus projected onto a vocabulary holding every one of its stems,
+    so that every co-count is kept."""
+    tag_sets = stemmed(tagged)
+    return CooccurrenceModel.project(tag_sets, set().union(*tag_sets))
+
+
 corpora = st.lists(
     st.sets(st.sampled_from(TAG_POOL), min_size=1, max_size=6).map(sorted),
     min_size=0, max_size=10,
@@ -28,35 +35,41 @@ corpora = st.lists(
 
 class TestIngest:
     def test_hand_counts(self):
-        model = CooccurrenceModel.build([("i1", ["dog", "grass"]), ("i2", ["dog"])])
+        model = CooccurrenceModel.project([{"dog", "grass"}, {"dog"}], {"grass"})
         assert model.df["dog"] == 2
         assert model.df["grass"] == 1
         assert model.co_count("dog", "grass") == 1
+        assert model.co_counts == {"dog": {"grass": 1}}
 
     def test_stems_deduplicate(self, tmp_path):
         path = tmp_path / "tags.jsonl"
         path.write_text('{"image": "i1", "tags": ["runs", "Running"]}\n')
-        model = CooccurrenceModel.from_jsonl(path)
-        assert model.tag_sets["i1"] == {"run"}
-        assert model.df["run"] == 1
+        tag_sets = parse_tags_jsonl(path)
+        assert tag_sets == {"i1": {"run"}}
+        assert CooccurrenceModel.project(tag_sets.values(), {"run"}).df["run"] == 1
 
     def test_empty_corpus(self):
-        model = CooccurrenceModel.build([])
+        model = CooccurrenceModel.project([], {"dog"})
         assert model.n_images == 0
         assert model.df == {}
 
-    def test_duplicate_image_rejected(self):
-        with pytest.raises(IngestError):
-            CooccurrenceModel.build([("i1", ["dog"]), ("i1", ["cat"])])
+    def test_duplicate_image_rejected(self, tmp_path):
+        path = tmp_path / "tags.jsonl"
+        path.write_text('{"image": "i1", "tags": ["dog"]}\n'
+                        '{"image": "i1", "tags": ["cat"]}\n')
+        with pytest.raises(IngestError, match="2"):
+            parse_tags_jsonl(path)
 
     def test_malformed_line_names_line(self, tmp_path):
         path = tmp_path / "tags.jsonl"
         path.write_text('{"image": "i1", "tags": ["dog"]}\nnot json\n')
         with pytest.raises(IngestError, match="2"):
-            CooccurrenceModel.from_jsonl(path)
+            parse_tags_jsonl(path)
 
-    def test_from_jsonl(self, tiny_files):
-        model = CooccurrenceModel.from_jsonl(tiny_files["corpus"])
+    def test_from_jsonl(self, tiny_files, corpus, bank):
+        tag_sets = parse_tags_jsonl(tiny_files["corpus"])
+        model = CooccurrenceModel.project(tag_sets.values(), bank.stem_index)
+        assert model == corpus
         assert model.n_images == 5
         assert model.df["chef"] == 2
 
@@ -64,7 +77,7 @@ class TestIngest:
 class TestCondProb:
     @pytest.fixture
     def model(self):
-        return CooccurrenceModel.build([("i1", ["dog", "grass"]), ("i2", ["dog"])])
+        return CooccurrenceModel.project([{"dog", "grass"}, {"dog"}], {"dog", "grass"})
 
     def test_dog_given_grass(self, model):
         assert model.cond_prob("dog", "grass") == 1.0
@@ -73,7 +86,7 @@ class TestCondProb:
         assert model.cond_prob("grass", "dog") == 0.5
 
     def test_self_conditioning(self, model):
-        assert model.cond_prob("dog", "dogs") == 1.0  # same stem
+        assert model.cond_prob(stem("dogs"), "dog") == 1.0  # same stem
 
     def test_unseen_conditioning_word(self, model):
         assert model.cond_prob("dog", "zebra") == 0.0
@@ -92,7 +105,7 @@ class TestInvariants:
     @settings(max_examples=60, deadline=None)
     @given(corpora)
     def test_counts_and_bounds(self, tagged):
-        model = CooccurrenceModel.build(stemmed(tagged))
+        model = project_all(tagged)
         stems = sorted(model.df)
         for a in stems:
             for b in stems:
@@ -107,7 +120,7 @@ class TestInvariants:
     @settings(max_examples=60, deadline=None)
     @given(corpora)
     def test_law_of_total_counts(self, tagged):
-        model = CooccurrenceModel.build(stemmed(tagged))
+        model = project_all(tagged)
         for w in model.df:
             for g in model.df:
                 if 0 < model.df[g] < model.n_images:
@@ -119,9 +132,13 @@ class TestInvariants:
         rng = random.Random(5)
         for _ in range(20):
             tagged = random_corpus(rng)
-            model = CooccurrenceModel.build(stemmed(tagged))
-            world = oracle.World([], {}, [], tagged)
+            vocab = rng.sample(TAG_POOL, rng.randint(1, len(TAG_POOL)))
+            model = CooccurrenceModel.project(stemmed(tagged), {stem(v) for v in vocab})
+            world = oracle.World(vocab, {}, [], tagged)
             for a in rng.sample(TAG_POOL, 4):
-                for b in rng.sample(TAG_POOL, 4):
-                    assert model.cond_prob(a, b) == oracle.cond_prob(world, a, b)
-                    assert model.cond_prob_neg(a, b) == oracle.cond_prob_neg(world, a, b)
+                assert set(model.co_occurring(stem(a))) == \
+                    oracle.related_detectable(world, a, "esp")
+                for b in rng.sample(vocab, min(4, len(vocab))):
+                    assert model.cond_prob(stem(a), stem(b)) == oracle.cond_prob(world, a, b)
+                    assert model.cond_prob_neg(stem(a), stem(b)) == \
+                        oracle.cond_prob_neg(world, a, b)

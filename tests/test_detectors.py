@@ -47,7 +47,7 @@ class TestStDet:
 def stem_max_estimate(bank, word, image):
     """The stem-tier estimate of one word: the only factor of its one-word
     MILSTEM plan; None when the word has no stem-matching detector."""
-    scorer = Scorer(bank, KnowledgeGraph.from_relations([]))
+    scorer = Scorer(bank, KnowledgeGraph())
     values = scorer.plan(tokenize(word), STEM).factor_values(image)
     return values[0] if values else None
 

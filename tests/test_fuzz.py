@@ -4,6 +4,7 @@ Each parser, and ``snapshot.load``, is fed random bytes, random text and
 near-valid records; any other exception would reach the CLI as a traceback.
 """
 
+import copy
 import json
 import pickle
 import tempfile
@@ -17,14 +18,16 @@ from cnretrieval import (
     CooccurrenceModel,
     DetectorBank,
     IngestError,
+    KnowledgeGraph,
     SnapshotError,
     WordClassMap,
     load_queries,
     parse_relations_csv,
+    parse_tags_jsonl,
     snapshot,
 )
 
-from conftest import TINY_EDGES, TINY_SCORES, TINY_VOCAB
+from conftest import TINY_CORPUS, TINY_EDGES, TINY_SCORES, TINY_VOCAB, stemmed
 
 KEYS = ["vocab", "image", "scores", "tags", "query_id", "text", "ground_truth",
         "dog", "cat"]
@@ -47,32 +50,39 @@ text_files = (st.binary(max_size=60)
 PARSERS = {
     "detectors": DetectorBank.from_jsonl,
     "graph": parse_relations_csv,
-    "corpus": CooccurrenceModel.from_jsonl,
+    "corpus": parse_tags_jsonl,
     "word_classes": WordClassMap.from_csv,
     "queries": load_queries,
 }
 
 
 def valid_payload():
-    return {
-        "format_version": 1,
-        "vocab": list(TINY_VOCAB),
-        "scores": TINY_SCORES,
-        "relations": [tuple(r) for r in TINY_EDGES],
-        "corpus": {"esp1": ["chef", "kitchen"]},
-        "word_classes": {"chef": "noun"},
-    }
+    bank = DetectorBank.build(TINY_VOCAB, TINY_SCORES)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "world.snap"
+        snapshot.save(path, bank, KnowledgeGraph.project(TINY_EDGES, bank.stem_index),
+                      CooccurrenceModel.project(stemmed(TINY_CORPUS), bank.stem_index),
+                      WordClassMap(entries={"chef": "noun"}))
+        return pickle.loads(path.read_bytes())
+
+
+VALID_PAYLOAD = valid_payload()
 
 
 @st.composite
 def payload_bytes(draw):
-    """A valid payload with one entry dropped or replaced, pickled, and maybe cut short."""
-    payload = valid_payload()
+    """A valid payload with one entry, at the top or inside a table, dropped or
+    replaced, pickled, and maybe cut short."""
+    payload = copy.deepcopy(VALID_PAYLOAD)
+    table = payload
     key = draw(st.sampled_from(sorted(payload)))
+    if key in ("graph", "corpus") and draw(st.booleans()):
+        table = payload[key]
+        key = draw(st.sampled_from(sorted(table)))
     if draw(st.booleans()):
-        del payload[key]
+        del table[key]
     else:
-        payload[key] = draw(json_values)
+        table[key] = draw(json_values)
     data = pickle.dumps(payload, protocol=4)
     return data[:draw(st.integers(0, len(data)))] if draw(st.booleans()) else data
 

@@ -6,20 +6,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cnretrieval import (
+    CooccurrenceModel,
     IngestError,
     KnowledgeGraph,
     Relation,
     RelatednessSource,
     parse_relations_csv,
     stem,
+    tokenize,
 )
 
 import oracle
-from conftest import TINY_EDGES
+from conftest import TINY_CORPUS, TINY_EDGES, stemmed
+
+WORDS = ("dog", "cat", "pen", "chef", "kitchen", "sofa", "jacket", "bread", "hotel",
+         "resort")
 
 
-def random_graph(rng, words=("dog", "cat", "pen", "chef", "kitchen", "sofa",
-                             "jacket", "bread", "hotel", "resort")):
+def random_graph(rng, words=WORDS):
     relations = []
     rel_types = ["IsA", "AtLocation", "RelatedTo", "Antonym", "UsedFor"]
     for _ in range(rng.randint(5, 25)):
@@ -29,57 +33,68 @@ def random_graph(rng, words=("dog", "cat", "pen", "chef", "kitchen", "sofa",
     return relations
 
 
+def every_stem(relations):
+    """Stems of every single-word endpoint: a vocabulary that hides nothing."""
+    return {stem(w) for r in relations for w in (r.start, r.end) if " " not in w}
+
+
+def neighbors(graph, word, min_weight=1.0):
+    return set(graph.neighbors(stem(word), min_weight))
+
+
 class TestNeighbors:
     def test_tuxedo_jacket(self, graph):
-        assert graph.neighbors("tuxedo") == {"jacket"}
+        assert graph.neighbors("tuxedo", 1.0) == {"jacket": "jacket"}
 
     def test_chef_neighborhood(self, graph):
-        assert graph.neighbors("chef") == {"person", "dish", "kitchen"}
+        assert neighbors(graph, "chef") == {"person", "dish", "kitchen"}
 
     def test_no_edges(self, graph):
-        assert graph.neighbors("zebra") == frozenset()
+        assert graph.neighbors("zebra", 1.0) == {}
 
-    def test_symmetric_direction(self, graph):
-        assert "chef" in graph.neighbors("kitchen")
+    def test_symmetric_direction(self):
+        graph = KnowledgeGraph.project(TINY_EDGES, every_stem(TINY_EDGES))
+        assert "chef" in neighbors(graph, "kitchen")
+        assert "kitchen" in neighbors(graph, "chef")
 
-    def test_stem_equal_noise_dropped(self, graph):
-        assert graph.neighbors("pen") == frozenset()
+    def test_stem_equal_noise_dropped(self):
+        graph = KnowledgeGraph.project(TINY_EDGES, every_stem(TINY_EDGES))
+        assert neighbors(graph, "pen", 0.0) == set()
 
-    def test_multiword_concepts_excluded(self, graph):
-        assert "piece of furniture" not in graph.neighbors("sofa")
-        assert "mixing bowl" not in graph.neighbors("chef")
+    def test_multiword_concepts_excluded(self):
+        graph = KnowledgeGraph.project(TINY_EDGES, every_stem(TINY_EDGES) |
+                                       {"piece of furniture", "mixing bowl"})
+        assert neighbors(graph, "sofa", 0.0) == set()
+        assert "mixing bowl" not in neighbors(graph, "chef", 0.0)
 
-    def test_lookup_goes_through_stems(self, graph):
-        assert graph.neighbors("chefs") == graph.neighbors("chef")
+    def test_lookup_goes_through_stems(self, scorer):
+        assert scorer.partition(tokenize("chefs")).related["chefs"] == \
+            scorer.partition(tokenize("chef")).related["chef"]
 
     def test_min_weight_antitone(self):
         rng = random.Random(11)
         for _ in range(25):
             relations = random_graph(rng)
-            low = KnowledgeGraph.from_relations(relations, min_weight=0.5)
-            high = KnowledgeGraph.from_relations(relations, min_weight=2.0)
+            graph = KnowledgeGraph.project(relations, every_stem(relations))
             for word in ("dog", "chef", "pen", "sofa"):
-                assert high.neighbors(word) <= low.neighbors(word)
-
-    def test_rel_type_restriction_antitone(self):
-        rng = random.Random(13)
-        for _ in range(25):
-            relations = random_graph(rng)
-            full = KnowledgeGraph.from_relations(relations, min_weight=0.0)
-            isa_only = KnowledgeGraph.from_relations(
-                relations, min_weight=0.0, allowed_rel_types={"IsA"})
-            for word in ("dog", "chef", "hotel"):
-                assert isa_only.neighbors(word) <= full.neighbors(word)
+                assert neighbors(graph, word, 2.0) <= neighbors(graph, word, 0.5)
 
     def test_matches_bruteforce(self):
         rng = random.Random(17)
         for _ in range(25):
             relations = random_graph(rng)
-            graph = KnowledgeGraph.from_relations(relations, min_weight=1.0)
-            world = oracle.World([], {}, [(r.rel_type, r.start, r.end, r.weight)
-                                          for r in relations], [])
-            for word in ("dog", "cat", "chef", "kitchen"):
-                assert graph.neighbors(word) == oracle.neighbors(world, word)
+            vocab = rng.sample(WORDS, rng.randint(1, len(WORDS)))
+            graph = KnowledgeGraph.project(relations, {stem(v) for v in vocab})
+            world = oracle.World(vocab, {}, [(r.rel_type, r.start, r.end, r.weight)
+                                             for r in relations], [])
+            for min_weight in (0.0, 1.0, 2.5):
+                for word in ("dog", "cat", "chef", "kitchen"):
+                    assert neighbors(graph, word, min_weight) == \
+                        oracle.related_detectable(world, word, min_weight=min_weight)
+                    for c, s in graph.neighbors(stem(word), min_weight).items():
+                        assert s == stem(c)
+                        assert graph.edge_weight(stem(word), s, min_weight) == \
+                            oracle.edge_weight(world, word, c, min_weight)
 
 
 STEM_FAMILIES = ["dog", "dogs", "dogged", "run", "runs", "running", "runner",
@@ -91,77 +106,89 @@ STEM_FAMILIES = ["dog", "dogs", "dogged", "run", "runs", "running", "runner",
                           st.sampled_from(STEM_FAMILIES), st.sampled_from(STEM_FAMILIES),
                           st.sampled_from([0.5, 1.0, 2.0])), max_size=25))
 def test_no_neighbor_shares_the_word_stem(edges):
-    graph = KnowledgeGraph.from_relations([Relation(*e) for e in edges], min_weight=0.0)
+    relations = [Relation(*e) for e in edges]
+    graph = KnowledgeGraph.project(relations, every_stem(relations))
     for word in STEM_FAMILIES:
-        assert all(stem(c) != stem(word) for c in graph.neighbors(word))
+        assert all(stem(c) != stem(word) for c in neighbors(graph, word, 0.0))
 
 
-def cn_det(graph, word, bank):
-    return RelatednessSource(variant="graph", graph=graph).related_detectable(word, bank)
+def cn_det(graph, word):
+    return set(RelatednessSource(variant="graph", graph=graph)
+               .related_detectable(stem(word)))
 
 
 class TestCnDet:
     def test_filters_to_detectable(self, bank):
-        g = KnowledgeGraph.from_relations([
+        g = KnowledgeGraph.project([
             Relation("IsA", "tuxedo", "jacket", 1.5),
             Relation("RelatedTo", "tuxedo", "prom", 1.0),
-        ])
-        assert cn_det(g, "tuxedo", bank) == {"jacket"}
+        ], bank.stem_index)
+        assert cn_det(g, "tuxedo") == {"jacket"}
 
     def test_none_detectable(self, bank):
-        g = KnowledgeGraph.from_relations([Relation("IsA", "ghost", "spirit", 1.0)])
-        assert cn_det(g, "ghost", bank) == frozenset()
+        g = KnowledgeGraph.project([Relation("IsA", "ghost", "spirit", 1.0)],
+                                   bank.stem_index)
+        assert cn_det(g, "ghost") == set()
+        assert g.rows == {}
 
-    def test_bagel_via_doughnut_and_bread(self, graph, bank):
-        assert cn_det(graph, "bagel", bank) == {"doughnut", "bread"}
+    def test_bagel_via_doughnut_and_bread(self, graph):
+        assert cn_det(graph, "bagel") == {"doughnut", "bread"}
+
+
+def co_occurring(corpus, word):
+    return set(corpus.co_occurring(stem(word)))
 
 
 class TestEspRelated:
     def test_cooccurring_tag(self, corpus):
-        assert "grass" in corpus.co_occurring("dog")
+        assert "grass" in co_occurring(corpus, "dog")
 
     def test_absent_word(self, corpus):
-        assert corpus.co_occurring("zebra") == frozenset()
+        assert corpus.co_occurring("zebra") == {}
 
     def test_hotel_resort(self, corpus):
-        assert "resort" in corpus.co_occurring("hotel")
+        # "resort" has no detector in the tiny vocabulary, so it takes one
+        assert co_occurring(corpus, "hotel") == set()
+        with_resort = CooccurrenceModel.project(stemmed(TINY_CORPUS), {"resort"})
+        assert with_resort.co_occurring("hotel") == {"resort": "resort"}
 
-    def test_symmetric(self, corpus):
+    def test_symmetric(self):
         tags = {"dog", "grass", "man", "person", "chef", "kitchen", "dish"}
+        corpus = CooccurrenceModel.project(stemmed(TINY_CORPUS), {stem(t) for t in tags})
         for a in tags:
             for b in tags:
-                assert (b in corpus.co_occurring(a)) == (a in corpus.co_occurring(b))
+                assert (b in co_occurring(corpus, a)) == (a in co_occurring(corpus, b))
 
     def test_excludes_own_stem(self, corpus):
-        assert "dog" not in corpus.co_occurring("dogs")
+        assert "dog" not in co_occurring(corpus, "dogs")
 
 
 class TestIngestCsv:
-    def test_round_trip(self, tiny_files, graph):
-        loaded = KnowledgeGraph.from_csv(tiny_files["graph"], min_weight=1.0)
-        assert loaded.neighbors("chef") == graph.neighbors("chef")
-        assert loaded.adjacency == graph.adjacency
-        assert loaded.edge_weights == graph.edge_weights
-        assert parse_relations_csv(tiny_files["graph"]) == TINY_EDGES
+    def test_round_trip(self, tiny_files, graph, bank):
+        relations = parse_relations_csv(tiny_files["graph"])
+        assert relations == TINY_EDGES
+        assert KnowledgeGraph.project(relations, bank.stem_index) == graph
 
     def test_underscores_become_spaces(self, tiny_files):
         relations = parse_relations_csv(tiny_files["graph"])
         assert ("IsA", "sofa", "piece of furniture", 3.0) in relations
-        loaded = KnowledgeGraph.from_relations(relations)
+        loaded = KnowledgeGraph.project(relations, every_stem(relations) |
+                                        {"piece of furniture", "mixing bowl"})
         # the multiword concepts are dropped, so no retained edge has a space
-        assert all(" " not in c for ns in loaded.adjacency.values() for c in ns)
+        assert loaded.rows
+        assert all(" " not in c for row in loaded.rows.values() for c, _, _ in row)
 
     def test_bad_header(self, tmp_path):
         path = tmp_path / "e.csv"
         path.write_text("a,b,c\nIsA,x,y,1\n")
         with pytest.raises(IngestError):
-            KnowledgeGraph.from_csv(path)
+            parse_relations_csv(path)
 
     def test_bad_weight_names_line(self, tmp_path):
         path = tmp_path / "e.csv"
         path.write_text("rel_type,start,end,weight\nIsA,x,y,heavy\n")
         with pytest.raises(IngestError, match="2"):
-            KnowledgeGraph.from_csv(path)
+            parse_relations_csv(path)
 
     def test_empty_concept_rejected_at_parse(self, tmp_path):
         path = tmp_path / "e.csv"
@@ -180,17 +207,46 @@ class TestIngestCsv:
         path = tmp_path / "e.csv"
         path.write_text("rel_type,start,end,weight\nIsA,x,y,-1\n")
         with pytest.raises(IngestError):
-            KnowledgeGraph.from_csv(path)
+            parse_relations_csv(path)
+
+
+class TestProjection:
+    def test_rows_hold_best_weight_and_stem(self, bank):
+        graph = KnowledgeGraph.project([
+            Relation("IsA", "chef", "person", 1.0),
+            Relation("RelatedTo", "person", "chefs", 2.5),
+            Relation("IsA", "chef", "dogs", 0.5),
+        ], bank.stem_index)
+        assert graph.rows["chef"] == (("dogs", "dog", 0.5), ("person", "person", 2.5))
+        assert graph.max_weight == 2.5
+        assert graph.neighbors("chef", 1.0) == {"person": "person"}
+        assert graph.edge_weight("chef", "dog", 1.0) == 0.0
+        assert graph.edge_weight("chef", "dog", 0.5) == 0.5
+
+    def test_max_weight_counts_edges_without_detectors(self, bank):
+        graph = KnowledgeGraph.project([
+            Relation("IsA", "chef", "person", 1.0),
+            Relation("IsA", "ghost", "spirit", 3.0),
+        ], bank.stem_index)
+        assert graph.max_weight == 3.0
+
+    def test_all_zero_weights_normalise_by_one(self, bank):
+        graph = KnowledgeGraph.project([Relation("IsA", "chef", "person", 0.0)],
+                                       bank.stem_index)
+        assert graph.max_weight == 1.0
+        assert graph.neighbors("chef", 0.0) == {"person": "person"}
 
 
 class TestRelatednessSource:
-    def test_graph_variant(self, graph, bank):
+    def test_graph_variant(self, graph):
         src = RelatednessSource(variant="graph", graph=graph)
-        assert src.related_detectable("chef", bank) == {"person", "dish", "kitchen"}
+        assert set(src.related_detectable("chef")) == {"person", "dish", "kitchen"}
+        assert RelatednessSource(variant="graph", graph=graph, min_weight=2.0) \
+            .related_detectable("chef") == {"person": "person", "kitchen": "kitchen"}
 
-    def test_corpus_variant(self, corpus, bank):
+    def test_corpus_variant(self, corpus):
         src = RelatednessSource(variant="corpus-cooccurrence", corpus=corpus)
-        assert "grass" in src.related_detectable("dog", bank)
+        assert "grass" in src.related_detectable("dog")
 
     def test_requires_backing_source(self, graph):
         with pytest.raises(ValueError):

@@ -2,17 +2,22 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cnretrieval import (
     DETECTOR,
     KNOWLEDGE,
     STEM,
+    CooccurrenceModel,
+    DetectorBank,
     KnowledgeGraph,
     Relation,
     ScoreConfig,
     Scorer,
     UnknownImageError,
     partition_query,
+    stem_set,
     tokenize,
 )
 from cnretrieval.scoring import log_product
@@ -23,7 +28,8 @@ import oracle
 def pair_estimate(word, related, image, bank, cooccur, weight=1.0, **config):
     """Estimate of ``word``'s presence through ``related`` alone: the only
     factor of the one-word query when the graph has just the edge between them."""
-    graph = KnowledgeGraph.from_relations([Relation("RelatedTo", word, related, weight)])
+    graph = KnowledgeGraph.project([Relation("RelatedTo", word, related, weight)],
+                                   bank.stem_index)
     scorer = Scorer(bank, graph, cooccur, config=ScoreConfig(**config))
     [factor] = scorer.plan(tokenize(word)).factor_values(image)
     return factor
@@ -79,7 +85,8 @@ class TestPartition:
     def test_stopword_gate_only_affects_cn_tier(self, bank, graph, corpus):
         # "in" gets a graph edge; with the filter on it stays undetected
         from cnretrieval import KnowledgeGraph, Relation, RelatednessSource
-        g = KnowledgeGraph.from_relations([Relation("RelatedTo", "in", "dog", 1.0)])
+        g = KnowledgeGraph.project([Relation("RelatedTo", "in", "dog", 1.0)],
+                                   bank.stem_index)
         src = RelatednessSource(variant="graph", graph=g)
         on = partition_query(tokenize("in"), bank, src, ScoreConfig())
         off = partition_query(tokenize("in"), bank, src,
@@ -118,7 +125,7 @@ class TestPartition:
         assert milstem.stem_detectable == {"dogs"}
         assert milstem.undetected == {"chef"}
         assert scorer.partition(tokens).related == {
-            "chef": {"person", "dish", "kitchen"}}
+            "chef": {"dish": "dish", "kitchen": "kitchen", "person": "person"}}
 
 
 class TestMilScore:
@@ -175,10 +182,8 @@ class TestPairEstimate:
     def test_degenerate_convexity(self):
         # equal conditional and negated-conditional collapse to that value
         from cnretrieval import CooccurrenceModel, DetectorBank
-        corpus = CooccurrenceModel.build([
-            ("i1", ["hotel", "resort"]), ("i2", ["hotel"]),
-            ("i3", ["resort"]), ("i4", []),
-        ])
+        corpus = CooccurrenceModel.project(
+            [{"hotel", "resort"}, {"hotel"}, {"resort"}, set()], {"resort"})
         assert corpus.cond_prob("hotel", "resort") == 0.5
         assert corpus.cond_prob_neg("hotel", "resort") == 0.5
         for q in (0.0, 0.25, 0.9):
@@ -188,7 +193,8 @@ class TestPairEstimate:
 
     def test_requires_stem_detector(self, scorer):
         # a related word without a stem-matching detector yields no estimate
-        graph = KnowledgeGraph.from_relations([Relation("RelatedTo", "chef", "zebra", 1.0)])
+        graph = KnowledgeGraph.project([Relation("RelatedTo", "chef", "zebra", 1.0)],
+                                       scorer.bank.stem_index)
         plan = Scorer(scorer.bank, graph, scorer.cooccur).plan(tokenize("chef"))
         assert plan.factor_values("img_kitchen") == []
 
@@ -310,6 +316,90 @@ class TestScoresAgainstOracle:
         for image in bank.images:
             assert cn.score(image) == pytest.approx(
                 oracle.cn(world, words, image, relatedness="esp"), rel=1e-9)
+
+
+class TestMinWeight:
+    def test_with_config_applies_min_weight(self, scorer, bank, graph, corpus):
+        tokens = tokenize("chef")
+        [(_, default)] = scorer.plan(tokens).factors
+        [(_, strict)] = scorer.with_config(min_weight=2.0).plan(tokens).factors
+        assert len(default) == 3  # person 2.5, kitchen 2.0, dish 1.0
+        assert len(strict) == 2
+        fresh = Scorer(bank, graph, corpus, config=ScoreConfig(min_weight=2.0))
+        assert fresh.plan(tokens).factors == \
+            scorer.with_config(min_weight=2.0).plan(tokens).factors
+
+    def test_graph_weight_of_tag_partners_skips_lighter_edges(self, scorer):
+        # chef co-occurs with person, kitchen and dish; its edges weigh 2.5, 2.0, 1.0
+        variant = scorer.with_config(relatedness="corpus-cooccurrence",
+                                     conditional_estimator="graph_weight", min_weight=2.0)
+        [(_, terms)] = variant.plan(tokenize("chef")).factors
+        assert [(stem_class, c1) for stem_class, c1, _ in terms] == [
+            (("dish",), 0.0), (("kitchen",), 2.0 / 2.5), (("person",), 1.0)]
+
+    def test_threshold_above_every_edge_leaves_no_graph_tier(self, scorer):
+        assert scorer.with_config(min_weight=3.0).partition(tokenize("chef")).related == {}
+
+
+#: "bakeseseseseseseseseseseses" stems to "bakeseseses", which stems on to
+#: "bake": a tag stem can reach a detector that its own surface does not
+WORLD_WORDS = ["dog", "dogs", "cat", "man", "person", "kitchen", "dish", "grass",
+               "run", "running", "bake", "chef", "tuxedo", "bagel", "hotel", "resort",
+               "bakeseseseseseseseseseseses", "bakeseseses", "in"]
+VOCAB_WORDS = ["dog", "cat", "man", "person", "kitchen", "dish", "grass", "run",
+               "running", "bake"]
+
+
+@st.composite
+def tiny_worlds(draw):
+    vocab = draw(st.lists(st.sampled_from(VOCAB_WORDS), min_size=1, max_size=6,
+                          unique=True))
+    scores = {
+        f"i{k}": draw(st.dictionaries(st.sampled_from(vocab),
+                                      st.sampled_from([0.0, 0.1, 0.35, 0.8, 1.0]),
+                                      max_size=len(vocab)))
+        for k in range(draw(st.integers(1, 3)))
+    }
+    edges = draw(st.lists(st.tuples(st.just("RelatedTo"), st.sampled_from(WORLD_WORDS),
+                                    st.sampled_from(WORLD_WORDS),
+                                    st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0])),
+                          max_size=15))
+    corpus = [(f"e{k}", tags) for k, tags in enumerate(draw(st.lists(
+        st.lists(st.sampled_from(WORLD_WORDS), min_size=1, max_size=5, unique=True),
+        max_size=8)))]
+    query = draw(st.lists(st.sampled_from(WORLD_WORDS), min_size=1, max_size=5,
+                          unique=True))
+    return oracle.World(vocab, scores, edges, corpus), " ".join(query)
+
+
+@settings(max_examples=60, deadline=None)
+@given(tiny_worlds(), st.sampled_from(["min", "max", "mean_arithmetic", "mean_geometric"]))
+def test_projected_plans_match_oracle(world_and_query, aggregator):
+    world, query = world_and_query
+    bank = DetectorBank.build(world.vocab, world.scores)
+    graph = KnowledgeGraph.project([Relation(*e) for e in world.edges], bank.stem_index)
+    corpus = CooccurrenceModel.project((stem_set(tags) for _, tags in world.corpus),
+                                       bank.stem_index)
+    tokens = tokenize(query)
+    words = [t.surface for t in tokens]
+    for relatedness, source in (("graph", "graph"), ("corpus-cooccurrence", "esp")):
+        for estimator in ("corpus", "constant_one", "graph_weight"):
+            for min_weight in (0.0, 1.0, 2.0, 3.0):
+                scorer = Scorer(bank, graph, corpus, config=ScoreConfig(
+                    aggregator=aggregator, relatedness=relatedness,
+                    conditional_estimator=estimator, min_weight=min_weight))
+                related = scorer.partition(tokens).related
+                _, _, knowledge_words, _ = oracle.partition(world, words, source,
+                                                            min_weight)
+                assert set(related) == knowledge_words
+                for w, found in related.items():
+                    assert set(found) == oracle.related_detectable(world, w, source,
+                                                                   min_weight)
+                plan = scorer.plan(tokens)
+                for image in world.images:
+                    assert plan.score(image) == pytest.approx(oracle.cn(
+                        world, words, image, aggregator, source, estimator, min_weight),
+                        rel=1e-9, abs=1e-300)
 
 
 class TestNumerics:

@@ -1,67 +1,100 @@
 import pickle
 
+import pytest
+
 from cnretrieval import (
     CooccurrenceModel,
     DetectorBank,
-    Relation,
+    KnowledgeGraph,
+    ScoreConfig,
+    Scorer,
     WordClassMap,
+    cli,
     snapshot,
     text,
+    tokenize,
 )
 
-from conftest import TINY_EDGES, TINY_SCORES, TINY_VOCAB, stemmed
+from conftest import TINY_CORPUS, TINY_EDGES, TINY_SCORES, TINY_VOCAB, stemmed
 
-#: edges that all pass the default filters, so load stems both ends of each
-SINGLE_WORD_EDGES = [r for r in TINY_EDGES if " " not in r.start + r.end and r.weight >= 1]
 #: tags that are neither a vocabulary word nor a graph endpoint
 CORPUS_ONLY_TAGS = ["umbrellas", "violin", "hiking"]
 
 
-def test_load_never_stems_a_corpus_tag(tmp_path):
+@pytest.fixture
+def saved(tmp_path):
+    """A snapshot of the tiny world, and the tables it was written from."""
     path = tmp_path / "world.snap"
-    corpus = CooccurrenceModel.build(stemmed([
-        ("esp1", ["chef", "umbrellas"]), ("esp2", ["violin", "hiking", "dog"]),
-    ]))
-    snapshot.save(path, DetectorBank.build(TINY_VOCAB, TINY_SCORES),
-                  SINGLE_WORD_EDGES, corpus)
-    distinct = set(TINY_VOCAB) | {w for r in SINGLE_WORD_EDGES for w in (r.start, r.end)}
-    assert not distinct & set(CORPUS_ONLY_TAGS) and \
-        not distinct & {text.stem(t) for t in CORPUS_ONLY_TAGS}
+    bank = DetectorBank.build(TINY_VOCAB, TINY_SCORES)
+    graph = KnowledgeGraph.project(TINY_EDGES, bank.stem_index)
+    corpus = CooccurrenceModel.project(
+        stemmed(TINY_CORPUS + [("esp6", ["chef", "umbrellas"]),
+                               ("esp7", ["violin", "hiking", "dog"])]),
+        bank.stem_index)
+    snapshot.save(path, bank, graph, corpus, WordClassMap(entries={"chef": "noun"}))
+    return path, graph, corpus
+
+
+def test_load_never_stems_a_corpus_tag(saved):
+    path, graph, corpus = saved
+    assert not set(TINY_VOCAB) & set(CORPUS_ONLY_TAGS)
 
     text.stem.cache_clear()
-    _, graph, loaded, _ = snapshot.load(path)
-    info = text.stem.cache_info()
-    # each vocabulary word and graph endpoint is stemmed once; nothing else is
-    assert info.misses == len(distinct)
-    assert loaded.tag_sets == corpus.tag_sets
-    assert graph.neighbors("chef") == {"person", "dish", "kitchen"}
+    bank, loaded_graph, loaded, _ = snapshot.load(path)
+    # each vocabulary word is stemmed once; no graph endpoint or tag is
+    assert text.stem.cache_info().misses == len(set(TINY_VOCAB))
+    assert loaded == corpus
+    assert loaded_graph == graph
+    assert set(loaded_graph.neighbors("chef", 1.0)) == {"person", "dish", "kitchen"}
 
 
-def test_snapshot_with_source_checksums_loads(tmp_path):
-    # older snapshots also carry the source files' checksums, which nothing reads
+QUERY = "a chef eats bagels with umbrellas near the kitchen zebra dogs"
+
+
+@pytest.mark.parametrize("relatedness", ["graph", "corpus-cooccurrence"])
+@pytest.mark.parametrize("estimator", ["corpus", "constant_one", "graph_weight"])
+def test_plan_stems_only_the_query_tokens(saved, relatedness, estimator):
+    path = saved[0]
+    scorer = Scorer(*snapshot.load(path), ScoreConfig(
+        relatedness=relatedness, conditional_estimator=estimator, min_weight=0.5))
+    text.stem.cache_clear()
+    tokens = tokenize(QUERY)
+    plan = scorer.plan(tokens)
+    assert any(len(terms) > 1 for _, terms in plan.factors)  # the knowledge tier ran
+    assert text.stem.cache_info().misses == len(tokens)
+
+
+def test_tables_round_trip_as_plain_containers(saved):
+    path, graph, corpus = saved
+    payload = pickle.loads(path.read_bytes())
+    assert payload["format_version"] == snapshot.FORMAT_VERSION == 2
+    rows = payload["graph"]["rows"]
+    assert rows == graph.rows
+    assert all(type(row) is tuple and all(type(n) is tuple for n in row)
+               for row in rows.values())
+    assert payload["corpus"]["co_counts"] == corpus.co_counts
+    # only what the vocabulary can reach is stored
+    assert "umbrella" not in payload["corpus"]["co_counts"]["chef"]
+    # a row for each stem with a neighbor that has a detector ("resort" -> hotel)
+    assert set(rows) == {"chef", "tuxedo", "bagel", "resort"}
+
+
+@pytest.mark.parametrize("checksums", [False, True])
+def test_version_1_snapshot_asks_to_reingest(tmp_path, capsys, checksums):
     path = tmp_path / "old.snap"
     payload = {
         "format_version": 1,
-        "checksums": {"corpus": "0" * 64, "detectors": "1" * 64, "graph": "2" * 64},
         "vocab": list(TINY_VOCAB),
         "scores": TINY_SCORES,
         "relations": [tuple(r) for r in TINY_EDGES],
         "corpus": {"esp1": ["chef", "kitchen"]},
         "word_classes": {"chef": "noun"},
     }
+    if checksums:
+        payload["checksums"] = {"corpus": "0" * 64, "detectors": "1" * 64,
+                                "graph": "2" * 64}
     path.write_bytes(pickle.dumps(payload, protocol=4))
-    bank, graph, corpus, word_classes = snapshot.load(path)
-    assert bank.vocab == tuple(TINY_VOCAB)
-    assert graph.neighbors("chef") == {"person", "dish", "kitchen"}
-    assert corpus.co_count("chef", "kitchen") == 1
-    assert word_classes == WordClassMap(entries={"chef": "noun"})
-
-
-def test_relations_round_trip_as_plain_tuples(tmp_path):
-    path = tmp_path / "world.snap"
-    corpus = CooccurrenceModel.build([])
-    snapshot.save(path, DetectorBank.build(TINY_VOCAB, TINY_SCORES), TINY_EDGES, corpus)
-    stored = pickle.loads(path.read_bytes())["relations"]
-    assert stored == sorted(tuple(r) for r in TINY_EDGES)
-    assert all(type(r) is tuple for r in stored)
-    assert [Relation(*r) for r in stored] == sorted(TINY_EDGES)
+    assert cli.main(["classify", "chef", "--snapshot", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert str(path) in err and "version 1" in err and "re-ingest" in err
