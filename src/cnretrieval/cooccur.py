@@ -2,8 +2,9 @@
 
 Raw tags are lowercased and stemmed once, in :func:`parse_tags_jsonl`.
 Scoring reads the corpus only through the number of images, each stem's
-document frequency, and each stem's co-counts with the tag stems that have
-a detector, so :meth:`CooccurrenceModel.project` keeps just those. Counts
+document frequency, and the co-counts of a stem without a detector (any
+other query word is scored in the stem tier) with the tag stems that have
+one, so :meth:`CooccurrenceModel.project` keeps just those. Counts
 are over images, not tag occurrences. Conditioning on a word never seen in
 the corpus yields probability 0 (no evidence), as does conditioning on the
 absence of a word present in every image.
@@ -43,13 +44,15 @@ def parse_tags_jsonl(path) -> dict[str, frozenset[str]]:
 
 @dataclass(frozen=True)
 class CooccurrenceModel:
-    """Document frequencies, and co-counts with the tag stems that have a detector."""
+    """Document frequencies, and each stem without a detector's co-counts
+    with the tag stems that have one."""
 
     n_images: int = 0
     #: tag stem -> images tagged with it
     df: dict[str, int] = field(default_factory=dict)
-    #: tag stem -> {partner: images tagged with both}, in partner order; a
-    #: partner is another tag stem that is, or stems to, a detector stem
+    #: tag stem that is not a detector stem -> {partner: images tagged with
+    #: both}, in partner order; a partner is another tag stem that is, or
+    #: stems to, a detector stem
     co_counts: dict[str, dict[str, int]] = field(default_factory=dict)
     #: tag stem -> its stem, for every tag stem whose stem has a detector
     detectable: dict[str, str] = field(default_factory=dict)
@@ -57,8 +60,8 @@ class CooccurrenceModel:
     @classmethod
     def project(cls, tag_sets, detector_stems) -> "CooccurrenceModel":
         """Count a corpus given as one set of tag stems per image, keeping the
-        co-counts with partners of ``detector_stems``, the stems that have a
-        detector."""
+        co-counts of the stems outside ``detector_stems``, the stems that have
+        a detector, with the partners of ``detector_stems``."""
         tag_sets = list(tag_sets)
         df: dict[str, int] = {}
         for tags in tag_sets:
@@ -72,6 +75,8 @@ class CooccurrenceModel:
             if not found:
                 continue
             for s in tags:
+                if s in detector_stems:
+                    continue
                 row = co_counts.setdefault(s, {})
                 for t in found:
                     if t != s:
@@ -85,7 +90,8 @@ class CooccurrenceModel:
         )
 
     def co_count(self, stem: str, detector_stem: str) -> int:
-        """Number of images tagged with both stems, the second one a detector stem."""
+        """Number of images tagged with both stems, the second one a detector
+        stem and the first one either not a detector stem or the second itself."""
         if stem == detector_stem:
             return self.df.get(stem, 0)
         row = self.co_counts.get(stem)

@@ -15,13 +15,16 @@ from .errors import IngestError, UnknownImageError, open_text
 
 @dataclass(frozen=True)
 class DetectorBank:
-    """Vocabulary plus sparse word-presence scores for a set of images."""
+    """Vocabulary plus sparse word-presence scores for a set of images.
+
+    Build one with :meth:`build`, which derives ``stem_index`` and
+    ``vocab_set`` from ``vocab``."""
 
     vocab: tuple[str, ...]
     images: tuple[str, ...]
     scores: dict[str, dict[str, float]]  # image id -> {word: score}
-    stem_index: dict[str, frozenset[str]] = field(default_factory=dict)
-    vocab_set: frozenset[str] = field(default_factory=frozenset, repr=False)
+    stem_index: dict[str, frozenset[str]]  # stem -> vocabulary words with it
+    vocab_set: frozenset[str] = field(repr=False)
 
     @classmethod
     def build(cls, vocab, image_scores) -> "DetectorBank":
@@ -107,7 +110,3 @@ class DetectorBank:
 
     def is_detectable(self, word: str) -> bool:
         return word in self.vocab_set
-
-    def st_det(self, word: str) -> frozenset[str]:
-        """Vocabulary words sharing the stem of ``word``; may be empty."""
-        return self.stem_index.get(text.stem(word), frozenset())

@@ -4,8 +4,10 @@ Edges are undirected: an edge (a, R, b) makes b a neighbor of a and a a
 neighbor of b. Multiword concepts are dropped (downstream estimation needs a
 single detectable word), and stem-equal edges such as "pen AtLocation pen"
 are discarded as noise. Scoring reads a neighbor only through its detectors,
-so :meth:`KnowledgeGraph.project` keeps, for each stem, just the neighbors
-whose stem has a detector, each with the best weight of an edge to it. The
+and asks only for the neighbors of a word whose stem has no detector (any
+other word is scored in the stem tier), so :meth:`KnowledgeGraph.project`
+keeps, for each stem without a detector, just the neighbors whose stem has
+one, each with the best weight of an edge to it. The
 ``min_weight`` threshold is a filter applied when a row is read, so one
 projection serves every threshold. Relation types are not kept.
 """
@@ -38,7 +40,8 @@ class Relation(NamedTuple):
 
 @dataclass(frozen=True)
 class KnowledgeGraph:
-    """Graph neighbors that have a detector, keyed by the stem they neighbor."""
+    """Graph neighbors that have a detector, keyed by the stem without a
+    detector that they neighbor."""
 
     #: stem -> ((neighbor, its stem, best weight of an edge to it), ...), by neighbor
     rows: dict[str, tuple[tuple[str, str, float], ...]] = field(default_factory=dict)
@@ -48,7 +51,9 @@ class KnowledgeGraph:
     @classmethod
     def project(cls, relations, detector_stems) -> "KnowledgeGraph":
         """Project (rel_type, start, end, weight) edges onto ``detector_stems``,
-        the stems that have a detector. No neighbor of a word shares its stem."""
+        the stems that have a detector: rows for the other stems, holding
+        their neighbors in ``detector_stems``. No neighbor of a word shares
+        its stem."""
         skipped_multiword = 0
         max_weight = 0.0
         rows: dict[str, dict[str, float]] = {}  # stem -> {neighbor: best weight}
@@ -62,7 +67,7 @@ class KnowledgeGraph:
             max_weight = max(max_weight, weight)
             for stem, other, other_stem in ((start_stem, end, end_stem),
                                             (end_stem, start, start_stem)):
-                if other_stem in detector_stems:
+                if other_stem in detector_stems and stem not in detector_stems:
                     row = rows.setdefault(stem, {})
                     row[other] = max(row.get(other, 0.0), weight)
         if skipped_multiword:
@@ -74,13 +79,14 @@ class KnowledgeGraph:
         )
 
     def neighbors(self, stem: str, min_weight: float) -> dict[str, str]:
-        """Detectable neighbors of ``stem`` through an edge of at least
-        ``min_weight``, each mapped to its own stem, in neighbor order."""
+        """Detectable neighbors of ``stem``, a stem without a detector,
+        through an edge of at least ``min_weight``, each mapped to its own
+        stem, in neighbor order."""
         return {c: s for c, s, weight in self.rows.get(stem, ()) if weight >= min_weight}
 
     def edge_weight(self, stem: str, detector_stem: str, min_weight: float) -> float:
         """Best weight of an edge of at least ``min_weight`` linking two stems,
-        the second one with a detector; 0 if none."""
+        the first one without a detector and the second one with; 0 if none."""
         best = max((w for _, s, w in self.rows.get(stem, ()) if s == detector_stem),
                    default=0.0)
         return best if best >= min_weight else 0.0
@@ -129,7 +135,6 @@ class RelatednessSource:
     variant: str  # GRAPH or CORPUS_COOCCURRENCE
     graph: KnowledgeGraph | None = None
     corpus: object | None = None
-    min_weight: float = 1.0  # graph edges lighter than this are ignored
 
     def __post_init__(self):
         if self.variant == GRAPH:
@@ -141,10 +146,11 @@ class RelatednessSource:
         else:
             raise ValueError(f"unknown relatedness variant {self.variant!r}")
 
-    def related_detectable(self, stem: str) -> dict[str, str]:
+    def related_detectable(self, stem: str, min_weight: float) -> dict[str, str]:
         """Concepts related to a query word's ``stem`` that have a
         stem-matching detector, each mapped to its stem, in concept order:
-        graph neighbors, or tag stems that co-occur with it in a corpus image."""
+        graph neighbors through an edge of at least ``min_weight``, or tag
+        stems that co-occur with it in a corpus image."""
         if self.variant == GRAPH:
-            return self.graph.neighbors(stem, self.min_weight)
+            return self.graph.neighbors(stem, min_weight)
         return self.corpus.co_occurring(stem)

@@ -94,7 +94,8 @@ def partition_query(tokens, bank, relatedness: RelatednessSource,
         elif tiers >= STEM and token.stem in bank.stem_index:
             stem_det.add(word)
         elif tiers >= KNOWLEDGE and _passes_cn_gate(word, config, word_classes) \
-                and (found := relatedness.related_detectable(token.stem)):
+                and (found := relatedness.related_detectable(token.stem,
+                                                             config.min_weight)):
             related[word] = found
         else:
             undetected.add(word)
@@ -173,8 +174,7 @@ class Scorer:
         self.word_classes = word_classes
         self.config = config or ScoreConfig()
         self.relatedness = RelatednessSource(variant=self.config.relatedness,
-                                             graph=graph, corpus=cooccur,
-                                             min_weight=self.config.min_weight)
+                                             graph=graph, corpus=cooccur)
 
     def with_config(self, **overrides) -> "Scorer":
         return Scorer(self.bank, self.graph, self.cooccur, self.word_classes,

@@ -5,9 +5,10 @@ and tag corpus already projected onto that vocabulary (see
 :meth:`KnowledgeGraph.project` and :meth:`CooccurrenceModel.project`):
 for each stem its detectable neighbors with their best edge weights and the
 heaviest edge, and the corpus's image count, document frequencies and
-co-counts with detectable tag stems. Loading unpickles these tables as they
-are and builds the detector bank, which stems the vocabulary and nothing
-else; the ``min_weight`` threshold is applied when a row is read, so one
+co-counts with detectable tag stems. Loading unpickles these tables, checks
+in one pass over them that every query they serve can be scored, and builds
+the detector bank, which stems the vocabulary and nothing else; the
+``min_weight`` threshold is applied when a row is read, so one
 snapshot serves every config. Each distinct string is written once, which
 makes re-ingesting identical inputs byte-identical.
 """
@@ -15,6 +16,7 @@ makes re-ingesting identical inputs byte-identical.
 from __future__ import annotations
 
 import pickle
+import sys
 
 from .cooccur import CooccurrenceModel
 from .detectors import DetectorBank
@@ -70,8 +72,10 @@ def load(path):
         with open(path, "rb") as fh:
             payload = pickle.loads(fh.read())
     except (OSError, pickle.UnpicklingError, EOFError, ValueError, TypeError, KeyError,
-            IndexError, AttributeError, ImportError, OverflowError) as exc:
-        raise SnapshotError(f"cannot read snapshot {path}: {exc}") from None
+            IndexError, AttributeError, ImportError, OverflowError,
+            MemoryError) as exc:  # a length field far beyond the file's own size
+        raise SnapshotError(f"cannot read snapshot {path}: "
+                            f"{str(exc) or type(exc).__name__}") from None
     if not isinstance(payload, dict) or "format_version" not in payload:
         raise SnapshotError(f"{path} is not a snapshot file")
     version = payload["format_version"]
@@ -80,16 +84,53 @@ def load(path):
                             f"(expected {FORMAT_VERSION}); re-ingest the sources")
     try:
         bank = DetectorBank.build(payload["vocab"], payload["scores"])
-        g, c = payload["graph"], payload["corpus"]
-        graph = KnowledgeGraph(rows=_dict(g["rows"]), max_weight=float(g["max_weight"]))
-        corpus = CooccurrenceModel(n_images=int(c["n_images"]), df=_dict(c["df"]),
-                                   co_counts=_dict(c["co_counts"]),
-                                   detectable=_dict(c["detectable"]))
+        graph = _graph(payload["graph"], bank.stem_index)
+        corpus = _corpus(payload["corpus"], bank.stem_index)
         classes = payload["word_classes"]
         word_classes = None if classes is None else WordClassMap(entries=_dict(classes))
     except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
         raise SnapshotError(f"{path} is not a valid snapshot: {exc!r}") from None
     return bank, graph, corpus, word_classes
+
+
+def _graph(table, detector_stems) -> KnowledgeGraph:
+    """The graph tables, checked so that every query they serve can be scored:
+    each neighbor is a word whose stem has a detector, each weight is finite
+    and non-negative, and the normaliser is positive."""
+    rows = _dict(table["rows"])
+    for row in rows.values():
+        for neighbor, stem, weight in row:
+            if type(neighbor) is not str or stem not in detector_stems \
+                    or not 0 <= weight <= sys.float_info.max:
+                raise ValueError(f"bad graph neighbor {(neighbor, stem, weight)!r}")
+    max_weight = float(table["max_weight"])
+    if not 0 < max_weight <= sys.float_info.max:
+        raise ValueError(f"bad max_weight {max_weight!r}")
+    return KnowledgeGraph(rows=rows, max_weight=max_weight)
+
+
+def _corpus(table, detector_stems) -> CooccurrenceModel:
+    """The corpus tables, checked so that no conditional probability is
+    negative: no stem is in more images than there are, and no co-count
+    exceeds its stem's document frequency."""
+    n_images = int(table["n_images"])
+    df = _counts(table["df"], n_images)
+    co_counts = _dict(table["co_counts"])
+    for stem, row in co_counts.items():
+        _counts(row, df.get(stem, 0))
+    detectable = _dict(table["detectable"])
+    if not set(detectable.values()) <= detector_stems.keys():
+        raise ValueError("a detectable tag stem maps to a stem without a detector")
+    return CooccurrenceModel(n_images=n_images, df=df, co_counts=co_counts,
+                             detectable=detectable)
+
+
+def _counts(table, most) -> dict:
+    """``table``, if it maps to numbers from 0 to ``most``."""
+    counts = _dict(table).values()
+    if counts and not 0 <= min(counts) <= max(counts) <= most:
+        raise ValueError(f"counts must lie in [0, {most}]")
+    return table
 
 
 def _dict(value) -> dict:

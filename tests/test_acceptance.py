@@ -139,7 +139,7 @@ def test_reduction_chain_randomized():
             assert scorer.plan(no_stem, STEM).score(image) == \
                 scorer.plan(no_stem, DETECTOR).score(image)
 
-            undetectable = [t for t in tokens if not scorer.bank.st_det(t.surface)]
+            undetectable = [t for t in tokens if t.stem not in scorer.bank.stem_index]
             assert scorer.plan(undetectable, DETECTOR).score(image) == 1.0
 
 
@@ -247,7 +247,7 @@ def test_stem_max_estimate_property():
             if not stem_class:
                 continue
             row = bank.row(image)
-            estimate = max(row.get(w, 0.0) for w in bank.st_det(probe))
+            estimate = max(row.get(w, 0.0) for w in bank.stem_index[stem(probe)])
             assert estimate == max(
                 world.scores[image].get(w, 0.0) for w in stem_class)
             if len(stem_class) == 1:
@@ -320,7 +320,7 @@ def test_end_to_end_chef_scenario():
         words = [t.surface for t in tokens]
 
         assert set(graph.neighbors("chef", 1.0)) == {"person", "dish", "kitchen"}
-        assert not bank.st_det("chef")
+        assert stem("chef") not in bank.stem_index
 
         cn_ranking = rank_images(bank.images, scorer.plan(tokens).log_score)
         milstem_ranking = rank_images(bank.images, scorer.plan(tokens, STEM).log_score)

@@ -225,7 +225,7 @@ BAD_INPUTS = {
     "config-huge-integer": ("config", b'{"min_weight": ' + b"1" * 5000 + b"}", None),
     "detectors-deeply-nested": ("detectors", b"[" * 100000 + b"\n", 1),
     "snapshot-is-a-directory": ("snapshot", None, None),
-    "snapshot-without-vocab": ("snapshot", pickle.dumps({"format_version": 1}), None),
+    "snapshot-without-vocab": ("snapshot", pickle.dumps({"format_version": 2}), None),
 }
 
 

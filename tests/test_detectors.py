@@ -10,6 +10,7 @@ from cnretrieval import (
     KnowledgeGraph,
     Scorer,
     UnknownImageError,
+    stem,
     tokenize,
 )
 
@@ -30,18 +31,23 @@ class TestDetectorScore:
             bank.row("nope")
 
 
+def st_det(bank, word):
+    """ST_DET(word): the vocabulary words sharing ``word``'s stem."""
+    return bank.stem_index.get(stem(word), frozenset())
+
+
 class TestStDet:
     def test_stem_match(self, bank):
-        assert bank.st_det("dogs") == {"dog"}
+        assert st_det(bank, "dogs") == {"dog"}
 
     def test_no_match(self, bank):
-        assert bank.st_det("chef") == frozenset()
+        assert st_det(bank, "chef") == frozenset()
 
     def test_multiple_variants(self, bank):
-        assert bank.st_det("run") == {"runs", "running"}
+        assert st_det(bank, "run") == {"runs", "running"}
 
     def test_vocab_word_in_own_class(self, bank):
-        assert "dog" in bank.st_det("dog")
+        assert "dog" in st_det(bank, "dog")
 
 
 def stem_max_estimate(bank, word, image):
@@ -69,7 +75,7 @@ class TestStemMaxEstimate:
     def test_dominates_every_member(self, bank):
         for image in bank.images:
             est = stem_max_estimate(bank, "run", image)
-            for w in bank.st_det("run"):
+            for w in st_det(bank, "run"):
                 assert est >= bank.row(image).get(w, 0.0)
 
     def test_invariant_under_vocab_reorder(self, bank):
@@ -114,7 +120,6 @@ class TestIngest:
             DetectorBank.from_jsonl(path)
 
     def test_stem_index_partitions_vocab(self, bank):
-        from cnretrieval import stem
         covered = set()
         for s, ws in bank.stem_index.items():
             for w in ws:

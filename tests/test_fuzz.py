@@ -2,6 +2,8 @@
 
 Each parser, and ``snapshot.load``, is fed random bytes, random text and
 near-valid records; any other exception would reach the CLI as a traceback.
+A snapshot that loads must also score a query without error, since load is
+where a damaged table has to be refused.
 """
 
 import copy
@@ -19,12 +21,15 @@ from cnretrieval import (
     DetectorBank,
     IngestError,
     KnowledgeGraph,
+    ScoreConfig,
+    Scorer,
     SnapshotError,
     WordClassMap,
     load_queries,
     parse_relations_csv,
     parse_tags_jsonl,
     snapshot,
+    tokenize,
 )
 
 from conftest import TINY_CORPUS, TINY_EDGES, TINY_SCORES, TINY_VOCAB, stemmed
@@ -71,14 +76,18 @@ VALID_PAYLOAD = valid_payload()
 
 @st.composite
 def payload_bytes(draw):
-    """A valid payload with one entry, at the top or inside a table, dropped or
-    replaced, pickled, and maybe cut short."""
+    """A valid payload with one entry, at any depth, dropped or replaced,
+    pickled, and maybe cut short."""
     payload = copy.deepcopy(VALID_PAYLOAD)
     table = payload
     key = draw(st.sampled_from(sorted(payload)))
-    if key in ("graph", "corpus") and draw(st.booleans()):
-        table = payload[key]
-        key = draw(st.sampled_from(sorted(table)))
+    while isinstance(table[key], (dict, list, tuple)) and table[key] \
+            and draw(st.booleans()):
+        if isinstance(table[key], tuple):
+            table[key] = list(table[key])
+        table = table[key]
+        key = draw(st.sampled_from(sorted(table)) if isinstance(table, dict)
+                   else st.integers(0, len(table) - 1))
     if draw(st.booleans()):
         del table[key]
     else:
@@ -106,13 +115,29 @@ def test_parser_parses_or_raises_ingest_error(kind, data):
         path.unlink()
 
 
-@settings(max_examples=100, deadline=None)
+#: a query with a word in every tier of the tiny world
+QUERY = tokenize("a chef in a tuxedo eats bagels with dogs at the hotel resort kitchen")
+
+
+@settings(max_examples=200, deadline=None)
 @given(data=payload_bytes() | st.binary(max_size=80))
 def test_snapshot_load_parses_or_raises_snapshot_error(data):
     path = write(data)
     try:
-        snapshot.load(path)
+        loaded = snapshot.load(path)
     except SnapshotError:
-        pass
+        return
     finally:
         path.unlink()
+    # a snapshot that loads serves every relatedness source and estimator
+    for relatedness in ("graph", "corpus-cooccurrence"):
+        for estimator in ("corpus", "constant_one", "graph_weight"):
+            for aggregator in ("min", "mean_geometric"):
+                scorer = Scorer(*loaded, ScoreConfig(
+                    relatedness=relatedness, conditional_estimator=estimator,
+                    aggregator=aggregator, min_weight=0.0))
+                for found in scorer.partition(QUERY).related.values():
+                    sorted(found)  # classify lists them
+                plan = scorer.plan(QUERY)
+                for image in scorer.bank.images:
+                    plan.log_score(image)

@@ -34,12 +34,20 @@ def random_graph(rng, words=WORDS):
 
 
 def every_stem(relations):
-    """Stems of every single-word endpoint: a vocabulary that hides nothing."""
+    """Stems of every single-word endpoint."""
     return {stem(w) for r in relations for w in (r.start, r.end) if " " not in w}
 
 
 def neighbors(graph, word, min_weight=1.0):
     return set(graph.neighbors(stem(word), min_weight))
+
+
+def all_neighbors(relations, word, min_weight=1.0, extra=()):
+    """Neighbors of ``word`` in the graph projected onto every endpoint stem
+    but its own (a word with a detector has no row), plus ``extra``: a
+    vocabulary that hides none of its neighbors."""
+    detector_stems = every_stem(relations) - {stem(word)} | set(extra)
+    return neighbors(KnowledgeGraph.project(relations, detector_stems), word, min_weight)
 
 
 class TestNeighbors:
@@ -53,19 +61,20 @@ class TestNeighbors:
         assert graph.neighbors("zebra", 1.0) == {}
 
     def test_symmetric_direction(self):
-        graph = KnowledgeGraph.project(TINY_EDGES, every_stem(TINY_EDGES))
-        assert "chef" in neighbors(graph, "kitchen")
-        assert "kitchen" in neighbors(graph, "chef")
+        assert "chef" in all_neighbors(TINY_EDGES, "kitchen")
+        assert "kitchen" in all_neighbors(TINY_EDGES, "chef")
 
     def test_stem_equal_noise_dropped(self):
-        graph = KnowledgeGraph.project(TINY_EDGES, every_stem(TINY_EDGES))
-        assert neighbors(graph, "pen", 0.0) == set()
+        relations = TINY_EDGES + [Relation("AtLocation", "pens", "pen", 9.0)]
+        assert all_neighbors(relations, "pen", 0.0) == set()
+        # nor does a stem-equal edge count towards the graph-weight normaliser
+        graph = KnowledgeGraph.project(relations, every_stem(relations) - {"pen"})
+        assert graph.max_weight == 2.5
 
     def test_multiword_concepts_excluded(self):
-        graph = KnowledgeGraph.project(TINY_EDGES, every_stem(TINY_EDGES) |
-                                       {"piece of furniture", "mixing bowl"})
-        assert neighbors(graph, "sofa", 0.0) == set()
-        assert "mixing bowl" not in neighbors(graph, "chef", 0.0)
+        multiword = {"piece of furniture", "mixing bowl"}
+        assert all_neighbors(TINY_EDGES, "sofa", 0.0, multiword) == set()
+        assert "mixing bowl" not in all_neighbors(TINY_EDGES, "chef", 0.0, multiword)
 
     def test_lookup_goes_through_stems(self, scorer):
         assert scorer.partition(tokenize("chefs")).related["chefs"] == \
@@ -75,20 +84,23 @@ class TestNeighbors:
         rng = random.Random(11)
         for _ in range(25):
             relations = random_graph(rng)
-            graph = KnowledgeGraph.project(relations, every_stem(relations))
             for word in ("dog", "chef", "pen", "sofa"):
-                assert neighbors(graph, word, 2.0) <= neighbors(graph, word, 0.5)
+                assert all_neighbors(relations, word, 2.0) <= \
+                    all_neighbors(relations, word, 0.5)
 
     def test_matches_bruteforce(self):
         rng = random.Random(17)
         for _ in range(25):
             relations = random_graph(rng)
             vocab = rng.sample(WORDS, rng.randint(1, len(WORDS)))
-            graph = KnowledgeGraph.project(relations, {stem(v) for v in vocab})
+            detector_stems = {stem(v) for v in vocab}
+            graph = KnowledgeGraph.project(relations, detector_stems)
             world = oracle.World(vocab, {}, [(r.rel_type, r.start, r.end, r.weight)
                                              for r in relations], [])
+            # a word with a stem-matching detector never reaches the graph tier
+            words = [w for w in WORDS if stem(w) not in detector_stems]
             for min_weight in (0.0, 1.0, 2.5):
-                for word in ("dog", "cat", "chef", "kitchen"):
+                for word in words:
                     assert neighbors(graph, word, min_weight) == \
                         oracle.related_detectable(world, word, min_weight=min_weight)
                     for c, s in graph.neighbors(stem(word), min_weight).items():
@@ -107,14 +119,13 @@ STEM_FAMILIES = ["dog", "dogs", "dogged", "run", "runs", "running", "runner",
                           st.sampled_from([0.5, 1.0, 2.0])), max_size=25))
 def test_no_neighbor_shares_the_word_stem(edges):
     relations = [Relation(*e) for e in edges]
-    graph = KnowledgeGraph.project(relations, every_stem(relations))
     for word in STEM_FAMILIES:
-        assert all(stem(c) != stem(word) for c in neighbors(graph, word, 0.0))
+        assert all(stem(c) != stem(word) for c in all_neighbors(relations, word, 0.0))
 
 
 def cn_det(graph, word):
     return set(RelatednessSource(variant="graph", graph=graph)
-               .related_detectable(stem(word)))
+               .related_detectable(stem(word), 1.0))
 
 
 class TestCnDet:
@@ -140,7 +151,8 @@ def co_occurring(corpus, word):
 
 
 class TestEspRelated:
-    def test_cooccurring_tag(self, corpus):
+    def test_cooccurring_tag(self):
+        corpus = CooccurrenceModel.project(stemmed(TINY_CORPUS), {"grass"})
         assert "grass" in co_occurring(corpus, "dog")
 
     def test_absent_word(self, corpus):
@@ -154,10 +166,19 @@ class TestEspRelated:
 
     def test_symmetric(self):
         tags = {"dog", "grass", "man", "person", "chef", "kitchen", "dish"}
-        corpus = CooccurrenceModel.project(stemmed(TINY_CORPUS), {stem(t) for t in tags})
+
+        def related(a, b):
+            # ``a`` without a detector, every other tag with one
+            corpus = CooccurrenceModel.project(stemmed(TINY_CORPUS),
+                                               {stem(t) for t in tags - {a}})
+            return b in co_occurring(corpus, a)
+
+        found = 0
         for a in tags:
             for b in tags:
-                assert (b in co_occurring(corpus, a)) == (a in co_occurring(corpus, b))
+                assert related(a, b) == related(b, a)
+                found += related(a, b)
+        assert found == 16  # 8 co-occurring pairs, each both ways
 
     def test_excludes_own_stem(self, corpus):
         assert "dog" not in co_occurring(corpus, "dogs")
@@ -169,10 +190,10 @@ class TestIngestCsv:
         assert relations == TINY_EDGES
         assert KnowledgeGraph.project(relations, bank.stem_index) == graph
 
-    def test_underscores_become_spaces(self, tiny_files):
+    def test_underscores_become_spaces(self, tiny_files, bank):
         relations = parse_relations_csv(tiny_files["graph"])
         assert ("IsA", "sofa", "piece of furniture", 3.0) in relations
-        loaded = KnowledgeGraph.project(relations, every_stem(relations) |
+        loaded = KnowledgeGraph.project(relations, bank.stem_index.keys() |
                                         {"piece of furniture", "mixing bowl"})
         # the multiword concepts are dropped, so no retained edge has a space
         assert loaded.rows
@@ -223,6 +244,16 @@ class TestProjection:
         assert graph.edge_weight("chef", "dog", 1.0) == 0.0
         assert graph.edge_weight("chef", "dog", 0.5) == 0.5
 
+    def test_detector_stems_get_no_row(self, bank):
+        # a word whose stem has a detector is scored in the stem tier
+        graph = KnowledgeGraph.project([Relation("IsA", "dogs", "grass", 1.0),
+                                        Relation("IsA", "chef", "dog", 1.0)],
+                                       bank.stem_index)
+        assert set(graph.rows) == {"chef"}
+        corpus = CooccurrenceModel.project([{"dog", "grass", "chef"}], bank.stem_index)
+        assert corpus.co_counts == {"chef": {"dog": 1, "grass": 1}}
+        assert corpus.df == {"chef": 1, "dog": 1, "grass": 1}
+
     def test_max_weight_counts_edges_without_detectors(self, bank):
         graph = KnowledgeGraph.project([
             Relation("IsA", "chef", "person", 1.0),
@@ -240,13 +271,13 @@ class TestProjection:
 class TestRelatednessSource:
     def test_graph_variant(self, graph):
         src = RelatednessSource(variant="graph", graph=graph)
-        assert set(src.related_detectable("chef")) == {"person", "dish", "kitchen"}
-        assert RelatednessSource(variant="graph", graph=graph, min_weight=2.0) \
-            .related_detectable("chef") == {"person": "person", "kitchen": "kitchen"}
+        assert set(src.related_detectable("chef", 1.0)) == {"person", "dish", "kitchen"}
+        assert src.related_detectable("chef", 2.0) == {"person": "person",
+                                                       "kitchen": "kitchen"}
 
     def test_corpus_variant(self, corpus):
         src = RelatednessSource(variant="corpus-cooccurrence", corpus=corpus)
-        assert "grass" in src.related_detectable("dog")
+        assert set(src.related_detectable("chef", 1.0)) == {"person", "kitchen", "dish"}
 
     def test_requires_backing_source(self, graph):
         with pytest.raises(ValueError):

@@ -13,10 +13,12 @@ from cnretrieval import (
     DetectorBank,
     KnowledgeGraph,
     Relation,
+    RelatednessSource,
     ScoreConfig,
     Scorer,
     UnknownImageError,
     partition_query,
+    stem,
     stem_set,
     tokenize,
 )
@@ -37,7 +39,7 @@ def pair_estimate(word, related, image, bank, cooccur, weight=1.0, **config):
 
 def stem_max(bank, word, image):
     """Best detector score among the vocabulary words sharing ``word``'s stem."""
-    return max(bank.row(image).get(w, 0.0) for w in bank.st_det(word))
+    return max(bank.row(image).get(w, 0.0) for w in bank.stem_index[stem(word)])
 
 
 class TestScoreConfig:
@@ -84,7 +86,6 @@ class TestPartition:
 
     def test_stopword_gate_only_affects_cn_tier(self, bank, graph, corpus):
         # "in" gets a graph edge; with the filter on it stays undetected
-        from cnretrieval import KnowledgeGraph, Relation, RelatednessSource
         g = KnowledgeGraph.project([Relation("RelatedTo", "in", "dog", 1.0)],
                                    bank.stem_index)
         src = RelatednessSource(variant="graph", graph=g)
@@ -339,6 +340,13 @@ class TestMinWeight:
 
     def test_threshold_above_every_edge_leaves_no_graph_tier(self, scorer):
         assert scorer.with_config(min_weight=3.0).partition(tokenize("chef")).related == {}
+
+    def test_partition_reads_the_threshold_from_the_config(self, bank, graph):
+        src = RelatednessSource(variant="graph", graph=graph)
+        tokens = tokenize("chef")
+        assert partition_query(tokens, bank, src, ScoreConfig(min_weight=3.0)).related == {}
+        assert set(partition_query(tokens, bank, src, ScoreConfig(min_weight=2.0))
+                   .related["chef"]) == {"person", "kitchen"}
 
 
 #: "bakeseseseseseseseseseseses" stems to "bakeseseses", which stems on to

@@ -8,6 +8,7 @@ from cnretrieval import (
     KnowledgeGraph,
     ScoreConfig,
     Scorer,
+    SnapshotError,
     WordClassMap,
     cli,
     snapshot,
@@ -77,6 +78,45 @@ def test_tables_round_trip_as_plain_containers(saved):
     assert "umbrella" not in payload["corpus"]["co_counts"]["chef"]
     # a row for each stem with a neighbor that has a detector ("resort" -> hotel)
     assert set(rows) == {"chef", "tuxedo", "bagel", "resort"}
+
+
+#: tables that unpickle but would make a query fail: (where, key, edit of the
+#: saved table); the tiny world has 7 corpus images, 3 of them tagged "chef"
+BAD_TABLES = {
+    "row-not-triples": ("graph", "rows", lambda rows: {**rows, "chef": 5}),
+    "neighbor-without-detector": ("graph", "rows", lambda rows: {
+        **rows, "chef": (("zebra", "zebra", 1.0),)}),
+    "neighbor-not-a-word": ("graph", "rows", lambda rows: {
+        **rows, "chef": ((5, "person", 2.5), ("kitchen", "kitchen", 2.0))}),
+    "negative-weight": ("graph", "rows", lambda rows: {
+        **rows, "chef": (("person", "person", -1.0),)}),
+    "zero-normaliser": ("graph", "max_weight", lambda _: 0.0),
+    "df-above-images": ("corpus", "df", lambda df: {**df, "chef": 8}),
+    "co-count-above-df": ("corpus", "co_counts", lambda rows: {
+        **rows, "chef": {**rows["chef"], "person": 4}}),
+    "count-not-a-number": ("corpus", "co_counts", lambda rows: {
+        **rows, "chef": {**rows["chef"], "person": None}}),
+    "tag-to-unknown-stem": ("corpus", "detectable", lambda d: {**d, "person": "zebra"}),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_TABLES))
+def test_tables_a_query_cannot_use_exit_2(saved, capsys, case):
+    path = saved[0]
+    where, key, edit = BAD_TABLES[case]
+    payload = pickle.loads(path.read_bytes())
+    payload[where][key] = edit(payload[where][key])
+    path.write_bytes(pickle.dumps(payload, protocol=4))
+    assert cli.main(["classify", "chef", "--snapshot", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and str(path) in err
+
+
+def test_length_beyond_the_file_is_a_snapshot_error(tmp_path):
+    path = tmp_path / "bad.snap"
+    path.write_bytes(b"\x96" + (2**56).to_bytes(8, "little"))  # a 2**56-byte bytearray
+    with pytest.raises(SnapshotError, match="MemoryError"):
+        snapshot.load(path)
 
 
 @pytest.mark.parametrize("checksums", [False, True])
