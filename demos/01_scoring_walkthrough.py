@@ -1,6 +1,6 @@
 """Walkthrough: how an undetectable query word gets scored anyway.
 
-Builds a four-image toy world in code, shows the word partition for a
+Builds a four-image toy world in code, shows the tier of each word of a
 query containing "chef" (no detector, no stem match), and compares the
 plain detector-product score with its stemming- and graph-extended
 variants.
@@ -10,6 +10,7 @@ Run: python demos/01_scoring_walkthrough.py
 
 from cnretrieval import (
     DETECTOR,
+    KNOWLEDGE,
     STEM,
     CooccurrenceModel,
     DetectorBank,
@@ -35,9 +36,9 @@ bank = DetectorBank.build(
 # Commonsense edges: "chef" has no detector, but its neighbors do. Only
 # neighbors with a detector are kept: the graph is projected onto the bank.
 graph = KnowledgeGraph.project([
-    Relation("IsA", "chef", "person", 2.5),
-    Relation("AtLocation", "chef", "kitchen", 2.0),
-    Relation("RelatedTo", "chef", "dish", 1.0),
+    Relation("chef", "person", 2.5),
+    Relation("chef", "kitchen", 2.0),
+    Relation("chef", "dish", 1.0),
 ], bank.stem_index)
 
 # A tag corpus (each image's tag stems) giving the conditional co-occurrence
@@ -53,13 +54,21 @@ scorer = Scorer(bank, graph, corpus, config=ScoreConfig(aggregator="max"))
 
 query = "a chef and his dish"
 tokens = tokenize(query)
-partition = scorer.partition(tokens)
+# The plan holds one factor per scored word, tagged with the word's tier;
+# a word without a factor is undetected.
+factors = scorer.plan(tokens).factors
+
+
+def tier_words(tier):
+    return [f.word for f in factors if f.tier == tier]
+
 
 print(f"query: {query!r}")
-print(f"  detector words:        {sorted(partition.detectable)}")
-print(f"  stem-detectable words: {sorted(partition.stem_detectable)}")
-print(f"  graph-detectable:      {sorted(partition.related)}")
-print(f"  undetected:            {sorted(partition.undetected)}")
+print(f"  detector words:        {tier_words(DETECTOR)}")
+print(f"  stem-detectable words: {tier_words(STEM)}")
+print(f"  graph-detectable:      {tier_words(KNOWLEDGE)}")
+print(f"  undetected:            "
+      f"{sorted({t.surface for t in tokens} - {f.word for f in factors})}")
 print()
 
 query = "a chef"

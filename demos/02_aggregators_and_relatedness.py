@@ -31,8 +31,8 @@ bank = DetectorBank.build(
 # both sources are projected onto the bank: only related words that have a
 # detector are kept
 graph = KnowledgeGraph.project([
-    Relation("IsA", "bagel", "doughnut", 1.5),
-    Relation("RelatedTo", "bagel", "bread", 1.0),
+    Relation("bagel", "doughnut", 1.5),
+    Relation("bagel", "bread", 1.0),
 ], bank.stem_index)
 
 # the corpus is each image's tag stems ("coffee" stems to "coff")

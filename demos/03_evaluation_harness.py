@@ -37,8 +37,8 @@ bank = DetectorBank.build(
     },
 )
 graph = KnowledgeGraph.project([
-    Relation("IsA", "chef", "person", 2.5),
-    Relation("AtLocation", "chef", "kitchen", 2.0),
+    Relation("chef", "person", 2.5),
+    Relation("chef", "kitchen", 2.0),
 ], bank.stem_index)
 corpus = CooccurrenceModel.project(
     (stem_set(tags) for tags in [["chef", "person", "kitchen"], ["dog", "grass"]]),
@@ -54,9 +54,9 @@ queries = [
 reports = {}
 for name, tiers in (("MIL", DETECTOR), ("MILSTEM", STEM), ("CN_MAX", KNOWLEDGE)):
     # compile each query once, then score every image with its plan
-    plans = {q.query_id: scorer.plan(tokenize(q.text), tiers) for q in queries}
+    plans = {q: scorer.plan(tokenize(q.text), tiers) for q in queries}
     reports[name] = compute_report(
-        queries, lambda q, i: plans[q.query_id].log_score(i), bank.images)
+        queries, lambda q, i: plans[q].log_score(i), bank.images)
 print(format_table(reports))
 print()
 

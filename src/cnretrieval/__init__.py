@@ -26,7 +26,6 @@ from .evaluation import (
 from .knowledge import (
     KnowledgeGraph,
     Relation,
-    RelatednessSource,
     parse_relations_csv,
 )
 from .scoring import (
@@ -37,8 +36,6 @@ from .scoring import (
     QueryPlan,
     ScoreConfig,
     Scorer,
-    WordPartition,
-    partition_query,
 )
 from .text import STOPWORDS, Token, WordClassMap, stem, stem_set, tokenize
 
@@ -55,7 +52,6 @@ __all__ = [
     "QueryPlan",
     "QueryRecord",
     "Relation",
-    "RelatednessSource",
     "ScoreConfig",
     "Scorer",
     "SnapshotError",
@@ -64,13 +60,11 @@ __all__ = [
     "Token",
     "UnknownImageError",
     "WordClassMap",
-    "WordPartition",
     "compute_report",
     "format_table",
     "load_queries",
     "parse_relations_csv",
     "parse_tags_jsonl",
-    "partition_query",
     "rank_images",
     "rank_of_ground_truth",
     "stem",

@@ -23,8 +23,8 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 
-_ESP = {"relatedness": knowledge.CORPUS_COOCCURRENCE}
-_CN = {"relatedness": knowledge.GRAPH}
+_ESP = {"relatedness": scoring.CORPUS_COOCCURRENCE}
+_CN = {"relatedness": scoring.GRAPH}
 
 #: scorer name -> (tiers kept, config overrides)
 SCORERS = {
@@ -58,7 +58,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--aggregator", choices=scoring.AGGREGATORS)
         p.add_argument("--relatedness",
-                       choices=[knowledge.GRAPH, knowledge.CORPUS_COOCCURRENCE])
+                       choices=[scoring.GRAPH, scoring.CORPUS_COOCCURRENCE])
         p.add_argument("--estimator", choices=scoring.ESTIMATORS,
                        dest="conditional_estimator")
         p.add_argument("--min-weight", type=float, dest="min_weight")
@@ -76,7 +76,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ingest.add_argument("--word-classes", dest="word_classes")
     p_ingest.add_argument("--snapshot", required=True)
 
-    p_classify = sub.add_parser("classify", help="show the word partition of a query")
+    p_classify = sub.add_parser("classify", help="show the tier of each query word")
     p_classify.add_argument("query")
     p_classify.add_argument("--snapshot", required=True)
     add_config_flags(p_classify)
@@ -152,24 +152,22 @@ def cmd_ingest(args) -> int:
     return EXIT_OK
 
 
+_TIER_CLASSES = {scoring.DETECTOR: "detectable", scoring.STEM: "stem-detectable",
+                 scoring.KNOWLEDGE: "cn-detectable"}
+
+
 def cmd_classify(args) -> int:
     scorer = _load_scorer(args)
     _check_word_classes(scorer)
     tokens = tokenize(args.query)
-    partition = scorer.partition(tokens)
+    factors = {f.word: f for f in scorer.plan(tokens).factors}
     listing = []
     for token in tokens:
-        word = token.surface
-        if word in partition.detectable:
-            entry = {"word": word, "class": "detectable"}
-        elif word in partition.stem_detectable:
-            entry = {"word": word, "class": "stem-detectable",
-                     "via": sorted(scorer.bank.stem_index[token.stem])}
-        elif word in partition.related:
-            entry = {"word": word, "class": "cn-detectable",
-                     "via": sorted(partition.related[word])}
-        else:
-            entry = {"word": word, "class": "undetected"}
+        factor = factors.get(token.surface)
+        entry = {"word": token.surface,
+                 "class": _TIER_CLASSES[factor.tier] if factor else "undetected"}
+        if factor and factor.related:
+            entry["via"] = sorted(factor.related)
         listing.append(entry)
     if args.output == "json":
         print(json.dumps(listing, indent=2))

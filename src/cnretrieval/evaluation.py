@@ -99,8 +99,8 @@ def compute_report(queries, score_fn, image_ids, ks=DEFAULT_KS) -> EvalReport:
 
 
 def load_queries(path) -> list[QueryRecord]:
-    """Load a JSON-lines query file."""
-    records = []
+    """Load a JSON-lines query file; each ``query_id`` may appear once."""
+    records = {}
     with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -111,15 +111,22 @@ def load_queries(path) -> list[QueryRecord]:
             except (ValueError, RecursionError) as exc:
                 raise IngestError(f"invalid JSON: {exc}", path=path, line=lineno)
             try:
-                records.append(QueryRecord(
+                if not isinstance(obj["text"], str) or \
+                        not isinstance(obj["ground_truth"], list):
+                    raise TypeError("text must be a string and ground_truth a list")
+                record = QueryRecord(
                     query_id=str(obj["query_id"]),
-                    text=str(obj["text"]),
+                    text=obj["text"],
                     ground_truth=frozenset(str(g) for g in obj["ground_truth"]),
                     protocol=obj.get("protocol", SENTENCE),
-                ))
+                )
             except (KeyError, TypeError, ValueError) as exc:
                 raise IngestError(f"bad query record: {exc}", path=path, line=lineno)
-    return records
+            if record.query_id in records:
+                raise IngestError(f"duplicate query_id {record.query_id!r}",
+                                  path=path, line=lineno)
+            records[record.query_id] = record
+    return list(records.values())
 
 
 def format_table(reports: dict[str, EvalReport], ks=DEFAULT_KS) -> str:

@@ -9,7 +9,7 @@ other word is scored in the stem tier), so :meth:`KnowledgeGraph.project`
 keeps, for each stem without a detector, just the neighbors whose stem has
 one, each with the best weight of an edge to it. The
 ``min_weight`` threshold is a filter applied when a row is read, so one
-projection serves every threshold. Relation types are not kept.
+projection serves every threshold. Relation types are not read.
 """
 
 from __future__ import annotations
@@ -25,14 +25,10 @@ from .errors import IngestError, open_text
 
 log = logging.getLogger(__name__)
 
-GRAPH = "graph"
-CORPUS_COOCCURRENCE = "corpus-cooccurrence"
-
 
 class Relation(NamedTuple):
-    """A weighted, typed edge between two concepts."""
+    """A weighted edge between two concepts."""
 
-    rel_type: str
     start: str
     end: str
     weight: float
@@ -50,14 +46,14 @@ class KnowledgeGraph:
 
     @classmethod
     def project(cls, relations, detector_stems) -> "KnowledgeGraph":
-        """Project (rel_type, start, end, weight) edges onto ``detector_stems``,
+        """Project (start, end, weight) edges onto ``detector_stems``,
         the stems that have a detector: rows for the other stems, holding
         their neighbors in ``detector_stems``. No neighbor of a word shares
         its stem."""
         skipped_multiword = 0
         max_weight = 0.0
         rows: dict[str, dict[str, float]] = {}  # stem -> {neighbor: best weight}
-        for _, start, end, weight in relations:
+        for start, end, weight in relations:
             if " " in start or " " in end:
                 skipped_multiword += 1
                 continue
@@ -94,7 +90,8 @@ class KnowledgeGraph:
 
 def parse_relations_csv(path) -> list[Relation]:
     """Parse an edge CSV without filtering. Concepts are lowercased and
-    underscores become spaces; filtering happens at projection.
+    underscores become spaces; the relation type column is not kept;
+    filtering happens at projection.
     An empty concept or a weight that is negative or not finite is an error."""
     relations = []
     with open_text(path) as fh:
@@ -109,7 +106,7 @@ def parse_relations_csv(path) -> list[Relation]:
                 continue
             if len(row) != 4:
                 raise IngestError("expected 4 fields", path=path, line=lineno)
-            rel_type, start, end, weight_str = (f.strip() for f in row)
+            _, start, end, weight_str = (f.strip() for f in row)
             try:
                 weight = float(weight_str)
             except ValueError:
@@ -120,37 +117,8 @@ def parse_relations_csv(path) -> list[Relation]:
             if not start or not end:
                 raise IngestError("empty concept in edge", path=path, line=lineno)
             relations.append(Relation(
-                rel_type=rel_type,
                 start=start.lower().replace("_", " "),
                 end=end.lower().replace("_", " "),
                 weight=weight,
             ))
     return relations
-
-
-@dataclass(frozen=True)
-class RelatednessSource:
-    """Where "related concepts" come from: graph edges or tag co-occurrence."""
-
-    variant: str  # GRAPH or CORPUS_COOCCURRENCE
-    graph: KnowledgeGraph | None = None
-    corpus: object | None = None
-
-    def __post_init__(self):
-        if self.variant == GRAPH:
-            if self.graph is None:
-                raise ValueError("graph variant needs a KnowledgeGraph")
-        elif self.variant == CORPUS_COOCCURRENCE:
-            if self.corpus is None:
-                raise ValueError("corpus-cooccurrence variant needs a corpus")
-        else:
-            raise ValueError(f"unknown relatedness variant {self.variant!r}")
-
-    def related_detectable(self, stem: str, min_weight: float) -> dict[str, str]:
-        """Concepts related to a query word's ``stem`` that have a
-        stem-matching detector, each mapped to its stem, in concept order:
-        graph neighbors through an edge of at least ``min_weight``, or tag
-        stems that co-occur with it in a corpus image."""
-        if self.variant == GRAPH:
-            return self.graph.neighbors(stem, min_weight)
-        return self.corpus.co_occurring(stem)

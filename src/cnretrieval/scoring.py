@@ -1,11 +1,12 @@
-"""Query scoring: word partition, the multiplicative detector score and its
-stemming- and knowledge-graph-extended variants.
+"""Query scoring: the multiplicative detector score and its stemming- and
+knowledge-graph-extended variants.
 
-A query is compiled once into a :class:`QueryPlan` that holds everything
-that does not depend on the image; scoring an image then only looks up
-detector scores. The three scores are one product that keeps the first 1, 2
-or 3 tiers, so the reduction chain (graph score == stem score when no
-graph-detectable word exists, etc.) holds exactly. The product is taken in
+:meth:`Scorer.plan` compiles a query once: it assigns each word its first
+matching tier and keeps, per scored word, a :class:`Factor` holding
+everything that does not depend on the image; scoring an image then only
+looks up detector scores. The three scores are one product that keeps the
+first 1, 2 or 3 tiers, so the reduction chain (graph score == stem score when
+no graph-detectable word exists, etc.) holds exactly. The product is taken in
 log space so that 50-factor products of tiny probabilities still rank
 correctly. Factors are clamped below at ``clamp_epsilon`` before taking logs.
 """
@@ -14,10 +15,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from . import text
 from .detectors import DetectorBank
-from .knowledge import CORPUS_COOCCURRENCE, GRAPH, RelatednessSource
 
 MIN = "min"
 MAX = "max"
@@ -29,6 +30,10 @@ CORPUS = "corpus"
 CONSTANT_ONE = "constant_one"
 GRAPH_WEIGHT = "graph_weight"
 ESTIMATORS = (CORPUS, CONSTANT_ONE, GRAPH_WEIGHT)
+
+#: where a knowledge-tier word's related words come from
+GRAPH = "graph"
+CORPUS_COOCCURRENCE = "corpus-cooccurrence"
 
 #: how many tiers a plan keeps: MIL, MILSTEM, or the graph / co-occurrence score
 DETECTOR, STEM, KNOWLEDGE = 1, 2, 3
@@ -55,56 +60,13 @@ class ScoreConfig:
             raise ValueError(f"unknown estimator {self.conditional_estimator!r}")
         if not 0.0 < self.clamp_epsilon < 1.0:
             raise ValueError("clamp_epsilon must lie in (0, 1)")
-        if self.min_weight < 0:
+        if not self.min_weight >= 0:  # also rejects NaN
             raise ValueError("min_weight must be non-negative")
-
-
-@dataclass(frozen=True)
-class WordPartition:
-    """Disjoint split of a query's words by how they can be scored."""
-
-    detectable: frozenset[str]
-    stem_detectable: frozenset[str]
-    undetected: frozenset[str]
-    #: each knowledge-tier word -> {related detectable word: its stem}, in word order
-    related: dict[str, dict[str, str]]
 
 
 def log_product(factors, eps: float) -> float:
     """Sum of logs with each factor clamped below at ``eps``; 0.0 for no factors."""
     return sum(math.log(max(f, eps)) for f in factors)
-
-
-def partition_query(tokens, bank, relatedness: RelatednessSource,
-                    config: ScoreConfig, word_classes=None,
-                    tiers: int = KNOWLEDGE) -> WordPartition:
-    """Assign each query word to its first matching tier among the first ``tiers``.
-
-    Order: detector word, stem-detectable, graph/corpus-detectable, undetected.
-    The stopword and noun-only filters gate only the third tier, which alone
-    consults ``relatedness`` and ``word_classes``.
-    """
-    if tiers >= KNOWLEDGE and config.noun_only and word_classes is None:
-        raise ValueError("noun_only filtering needs a word-class map")
-    detectable, stem_det, related, undetected = set(), set(), {}, set()
-    for token in tokens:
-        word = token.surface
-        if bank.is_detectable(word):
-            detectable.add(word)
-        elif tiers >= STEM and token.stem in bank.stem_index:
-            stem_det.add(word)
-        elif tiers >= KNOWLEDGE and _passes_cn_gate(word, config, word_classes) \
-                and (found := relatedness.related_detectable(token.stem,
-                                                             config.min_weight)):
-            related[word] = found
-        else:
-            undetected.add(word)
-    return WordPartition(
-        detectable=frozenset(detectable),
-        stem_detectable=frozenset(stem_det),
-        undetected=frozenset(undetected),
-        related=related,
-    )
 
 
 def _passes_cn_gate(word, config, word_classes) -> bool:
@@ -128,25 +90,41 @@ def _aggregate(estimates, aggregator: str) -> float:
 Term = tuple[tuple[str, ...], float, float]
 
 
+class Factor(NamedTuple):
+    """One scored query word: how it is scored, compiled for every image.
+
+    ``tier`` is DETECTOR, STEM or KNOWLEDGE. A detector or stem word is a
+    single term; a knowledge word has one term per related word that has a
+    detector, in ``related`` order. ``related`` holds the words standing in
+    for ``word``: its stem class in the stem tier, its related words in the
+    knowledge tier, none in the detector tier.
+    """
+
+    word: str
+    tier: int
+    aggregator: str
+    terms: tuple[Term, ...]
+    related: tuple[str, ...]
+
+
 @dataclass(frozen=True)
 class QueryPlan:
     """The image-independent part of one query's score, compiled once.
 
-    ``factors`` holds one (aggregator, terms) pair per scored word, in sum
-    order: sorted detector words, sorted stem words, then sorted knowledge
-    words. A detector or stem word is a single term; a knowledge word has one
-    term per related detectable word, in that word's order.
+    ``factors`` holds one :class:`Factor` per scored word, in sum order:
+    sorted detector words, sorted stem words, then sorted knowledge words.
+    A query word without a factor is undetected.
     """
 
     bank: DetectorBank
-    factors: tuple[tuple[str, tuple[Term, ...]], ...]
+    factors: tuple[Factor, ...]
     clamp_epsilon: float
 
     def factor_values(self, image: str) -> list[float]:
         """Each word's estimate for ``image``, in sum order."""
         row = self.bank.row(image)
         values = []
-        for aggregator, terms in self.factors:
+        for _, _, aggregator, terms, _ in self.factors:
             estimates = []
             for stem_class, c1, c0 in terms:
                 q = max(row.get(w, 0.0) for w in stem_class)
@@ -164,7 +142,11 @@ class QueryPlan:
 
 
 class Scorer:
-    """Bundles the loaded sources with a config; all inputs stay immutable."""
+    """Bundles the loaded sources with a config; all inputs stay immutable.
+
+    Only the knowledge tier reads ``graph``, ``cooccur`` and ``word_classes``,
+    so a scorer without them still compiles detector and stem plans.
+    """
 
     def __init__(self, bank, graph=None, cooccur=None, word_classes=None,
                  config: ScoreConfig | None = None):
@@ -173,36 +155,55 @@ class Scorer:
         self.cooccur = cooccur
         self.word_classes = word_classes
         self.config = config or ScoreConfig()
-        self.relatedness = RelatednessSource(variant=self.config.relatedness,
-                                             graph=graph, corpus=cooccur)
 
     def with_config(self, **overrides) -> "Scorer":
         return Scorer(self.bank, self.graph, self.cooccur, self.word_classes,
                       replace(self.config, **overrides))
 
-    def partition(self, tokens) -> WordPartition:
-        return partition_query(tokens, self.bank, self.relatedness, self.config,
-                               self.word_classes)
-
     def plan(self, tokens, tiers: int = KNOWLEDGE) -> QueryPlan:
         """Compile ``tokens`` for scoring with the first ``tiers`` tiers:
-        DETECTOR (MIL), STEM (MILSTEM) or KNOWLEDGE (graph / co-occurrence)."""
-        partition = partition_query(tokens, self.bank, self.relatedness,
-                                    self.config, self.word_classes, tiers)
-        stems = {t.surface: t.stem for t in tokens}
-        # a one-term factor is its term's estimate whatever the aggregator
-        factors = [(MAX, (((w,), 1.0, 0.0),)) for w in sorted(partition.detectable)]
-        factors += [
-            (MAX, ((tuple(self.bank.stem_index[stems[w]]), 1.0, 0.0),))
-            for w in sorted(partition.stem_detectable)
-        ]
-        factors += [
-            (self.config.aggregator, tuple(
-                (tuple(self.bank.stem_index[r]), *self._coefficients(stems[w], r))
-                for r in partition.related[w].values()))
-            for w in sorted(partition.related)
-        ]
-        return QueryPlan(self.bank, tuple(factors), self.config.clamp_epsilon)
+        DETECTOR (MIL), STEM (MILSTEM) or KNOWLEDGE (graph / co-occurrence).
+
+        Each word goes to its first matching tier: its own detector, a
+        detector sharing its stem, or related words that have a detector
+        (graph neighbors through an edge of at least ``min_weight``, or tag
+        stems sharing a corpus image with it). The stopword and noun-only
+        filters gate only the knowledge tier, which alone reads the graph,
+        the corpus and the word classes.
+        """
+        config, stem_index = self.config, self.bank.stem_index
+        if tiers >= KNOWLEDGE:
+            related_to = self._related_to()
+            if config.noun_only and self.word_classes is None:
+                raise ValueError("noun_only filtering needs a word-class map")
+        found: dict[str, Factor] = {}
+        for token in tokens:
+            word = token.surface
+            if self.bank.is_detectable(word):
+                # a one-term factor is its term's estimate whatever the aggregator
+                found[word] = Factor(word, DETECTOR, MAX, (((word,), 1.0, 0.0),), ())
+            elif tiers >= STEM and token.stem in stem_index:
+                stem_class = tuple(stem_index[token.stem])
+                found[word] = Factor(word, STEM, MAX, ((stem_class, 1.0, 0.0),),
+                                     stem_class)
+            elif tiers >= KNOWLEDGE and _passes_cn_gate(word, config, self.word_classes) \
+                    and (related := related_to(token.stem)):
+                found[word] = Factor(word, KNOWLEDGE, config.aggregator, tuple(
+                    (tuple(stem_index[r]), *self._coefficients(token.stem, r))
+                    for r in related.values()), tuple(related))
+        factors = sorted(found.values(), key=lambda f: (f.tier, f.word))
+        return QueryPlan(self.bank, tuple(factors), config.clamp_epsilon)
+
+    def _related_to(self):
+        """The lookup from a stem to its related words that have a detector,
+        each mapped to its stem, in the config's relatedness source."""
+        if self.config.relatedness == GRAPH:
+            if self.graph is None:
+                raise ValueError("graph relatedness needs a knowledge graph")
+            return lambda stem: self.graph.neighbors(stem, self.config.min_weight)
+        if self.cooccur is None:
+            raise ValueError("corpus-cooccurrence relatedness needs a co-occurrence model")
+        return self.cooccur.co_occurring
 
     def _coefficients(self, stem: str, related: str) -> tuple[float, float]:
         """(c1, c0) of the estimate of a word with stem ``stem`` through one

@@ -28,16 +28,16 @@ TINY_SCORES = {
 }
 
 TINY_EDGES = [
-    Relation("AtLocation", "chef", "kitchen", 2.0),
-    Relation("IsA", "chef", "person", 2.5),
-    Relation("RelatedTo", "chef", "dish", 1.0),
-    Relation("IsA", "tuxedo", "jacket", 1.5),
-    Relation("IsA", "bagel", "doughnut", 1.0),
-    Relation("RelatedTo", "bagel", "bread", 1.0),
-    Relation("RelatedTo", "hotel", "resort", 1.0),
-    Relation("AtLocation", "pen", "pen", 1.0),          # stem-equal noise
-    Relation("IsA", "sofa", "piece of furniture", 3.0),  # multiword, dropped
-    Relation("RelatedTo", "chef", "mixing bowl", 1.0),   # multiword, dropped
+    Relation("chef", "kitchen", 2.0),
+    Relation("chef", "person", 2.5),
+    Relation("chef", "dish", 1.0),
+    Relation("tuxedo", "jacket", 1.5),
+    Relation("bagel", "doughnut", 1.0),
+    Relation("bagel", "bread", 1.0),
+    Relation("hotel", "resort", 1.0),
+    Relation("pen", "pen", 1.0),                  # stem-equal noise
+    Relation("sofa", "piece of furniture", 3.0),  # multiword, dropped
+    Relation("chef", "mixing bowl", 1.0),         # multiword, dropped
 ]
 
 TINY_CORPUS = [
@@ -100,7 +100,7 @@ def tiny_files(tmp_path):
     graph_file = tmp_path / "edges.csv"
     rows = ["rel_type,start,end,weight"]
     rows += [
-        f"{r.rel_type},{r.start.replace(' ', '_')},{r.end.replace(' ', '_')},{r.weight}"
+        f"RelatedTo,{r.start.replace(' ', '_')},{r.end.replace(' ', '_')},{r.weight}"
         for r in TINY_EDGES
     ]
     graph_file.write_text("\n".join(rows) + "\n")

@@ -14,6 +14,7 @@ import pytest
 
 from cnretrieval import (
     DETECTOR,
+    KNOWLEDGE,
     STEM,
     CooccurrenceModel,
     DetectorBank,
@@ -84,9 +85,14 @@ def make_world(rng, n_images=6, ensure_cn_word=None):
 def build_scorer(world, **config_kwargs):
     config = ScoreConfig(**config_kwargs)
     bank = DetectorBank.build(world.vocab, world.scores)
-    graph = KnowledgeGraph.project([Relation(*e) for e in world.edges], bank.stem_index)
+    graph = KnowledgeGraph.project([Relation(*e[1:]) for e in world.edges],
+                                   bank.stem_index)
     corpus = CooccurrenceModel.project(stemmed(world.corpus), bank.stem_index)
     return Scorer(bank, graph, corpus, None, config)
+
+
+def knowledge_words(scorer, tokens):
+    return {f.word for f in scorer.plan(tokens).factors if f.tier == KNOWLEDGE}
 
 
 def random_query(rng, world):
@@ -128,14 +134,13 @@ def test_reduction_chain_randomized():
             scorer = build_scorer(world)
             tokens = tokenize(random_query(rng, world))
             image = rng.choice(world.images)
-            partition = scorer.partition(tokens)
+            tiers = {f.word: f.tier for f in scorer.plan(tokens).factors}
 
-            no_cn = [t for t in tokens if t.surface not in partition.related]
+            no_cn = [t for t in tokens if tiers.get(t.surface) != KNOWLEDGE]
             assert scorer.plan(no_cn).score(image) == \
                 scorer.plan(no_cn, STEM).score(image)
 
-            no_stem = [t for t in no_cn
-                       if t.surface not in partition.stem_detectable]
+            no_stem = [t for t in no_cn if tiers.get(t.surface) != STEM]
             assert scorer.plan(no_stem, STEM).score(image) == \
                 scorer.plan(no_stem, DETECTOR).score(image)
 
@@ -289,11 +294,11 @@ def test_threshold_antitonicity():
         for _ in range(100):
             cn_word = rng.choice(EXTRA_WORDS)
             world = make_world(rng, ensure_cn_word=cn_word)
-            relations = [Relation(*e) for e in world.edges]
+            relations = [Relation(*e[1:]) for e in world.edges]
             low_t, high_t = sorted([rng.uniform(0, 1.5), rng.uniform(0.5, 3)])
             # a vocabulary holding every stem keeps every neighbor
             graph = KnowledgeGraph.project(relations, {stem(w) for e in relations
-                                                       for w in e[1:3]})
+                                                       for w in e[:2]})
             for word in rng.sample(BASE_WORDS + EXTRA_WORDS, 6):
                 assert graph.neighbors(stem(word), high_t).keys() <= \
                     graph.neighbors(stem(word), low_t).keys()
@@ -301,15 +306,15 @@ def test_threshold_antitonicity():
             tokens = tokenize(f"{random_query(rng, world)} {cn_word}")
             low_scorer = build_scorer(world, min_weight=low_t)
             high_scorer = build_scorer(world, min_weight=high_t)
-            assert high_scorer.partition(tokens).related.keys() <= \
-                low_scorer.partition(tokens).related.keys()
+            assert knowledge_words(high_scorer, tokens) <= \
+                knowledge_words(low_scorer, tokens)
 
 
 def test_end_to_end_chef_scenario():
     with criterion("chef scenario: graph neighbors rank the kitchen image first"):
         world = oracle.World(
             TINY_VOCAB, TINY_SCORES,
-            [(r.rel_type, r.start, r.end, r.weight) for r in TINY_EDGES],
+            [("RelatedTo", *r) for r in TINY_EDGES],
             TINY_CORPUS, dict(TINY_WORD_CLASSES),
         )
         bank = DetectorBank.build(TINY_VOCAB, TINY_SCORES)

@@ -133,6 +133,13 @@ class TestScore:
         assert code == 1
         assert_one_line_error(err, "clamp_epsilon")
 
+    @pytest.mark.parametrize("value", ["nan", "-1"])
+    def test_bad_min_weight_exits_1(self, snap, value, capsys):
+        code, _, err = run(capsys, ["classify", "chef", "--snapshot", snap,
+                                    "--min-weight", value])
+        assert code == 1
+        assert_one_line_error(err, "min_weight")
+
     @pytest.mark.parametrize("command", ["score", "classify"])
     def test_noun_only_without_word_classes_exits_1(
             self, snap_without_word_classes, command, capsys):
@@ -223,6 +230,15 @@ BAD_INPUTS = {
     "queries-not-utf8": ("queries", NOT_UTF8, None),
     "config-not-utf8": ("config", NOT_UTF8, None),
     "config-huge-integer": ("config", b'{"min_weight": ' + b"1" * 5000 + b"}", None),
+    "config-nan-min-weight": ("config", b'{"min_weight": NaN}', None),
+    "queries-duplicate-id": ("queries", b'{"query_id": "q1", "text": "chef", '
+                             b'"ground_truth": ["img_kitchen"]}\n'
+                             b'{"query_id": "q1", "text": "dog grass", '
+                             b'"ground_truth": ["img_park"]}\n', 2),
+    "queries-null-text": ("queries", b'{"query_id": "q1", "text": null, '
+                          b'"ground_truth": ["img_kitchen"]}\n', 1),
+    "queries-ground-truth-not-a-list": ("queries", b'{"query_id": "q1", "text": "chef", '
+                                        b'"ground_truth": "img_kitchen"}\n', 1),
     "detectors-deeply-nested": ("detectors", b"[" * 100000 + b"\n", 1),
     "snapshot-is-a-directory": ("snapshot", None, None),
     "snapshot-without-vocab": ("snapshot", pickle.dumps({"format_version": 2}), None),

@@ -133,6 +133,28 @@ class TestQueryRecords:
         with pytest.raises(IngestError, match="1"):
             load_queries(path)
 
+    @pytest.mark.parametrize("field,value", [
+        ("text", None), ("text", 5), ("ground_truth", "img_kitchen"),
+        ("ground_truth", {"img_kitchen": 1})])
+    def test_mistyped_field_rejected(self, tmp_path, field, value):
+        record = {"query_id": "q", "text": "chef", "ground_truth": ["img_kitchen"]}
+        path = tmp_path / "q.jsonl"
+        path.write_text("\n" + json.dumps({**record, field: value}) + "\n")
+        with pytest.raises(IngestError, match=f"{path}:2:.*{field}"):
+            load_queries(path)
+
+    def test_duplicate_query_id_rejected(self, tmp_path):
+        path = tmp_path / "q.jsonl"
+        path.write_text(
+            json.dumps({"query_id": "q1", "text": "chef",
+                        "ground_truth": ["img_kitchen"]}) + "\n" +
+            json.dumps({"query_id": "q2", "text": "dog", "ground_truth": ["img_park"]})
+            + "\n" +
+            json.dumps({"query_id": "q1", "text": "dog grass",
+                        "ground_truth": ["img_park"]}) + "\n")
+        with pytest.raises(IngestError, match=f"{path}:3:.*duplicate query_id 'q1'"):
+            load_queries(path)
+
     def test_empty_ground_truth_rejected(self):
         with pytest.raises(ValueError):
             QueryRecord(query_id="q", text="x", ground_truth=frozenset())

@@ -136,8 +136,8 @@ def test_snapshot_load_parses_or_raises_snapshot_error(data):
                 scorer = Scorer(*loaded, ScoreConfig(
                     relatedness=relatedness, conditional_estimator=estimator,
                     aggregator=aggregator, min_weight=0.0))
-                for found in scorer.partition(QUERY).related.values():
-                    sorted(found)  # classify lists them
                 plan = scorer.plan(QUERY)
+                for factor in plan.factors:
+                    sorted(factor.related)  # classify lists them
                 for image in scorer.bank.images:
                     plan.log_score(image)

@@ -10,7 +10,8 @@ from cnretrieval import (
     IngestError,
     KnowledgeGraph,
     Relation,
-    RelatednessSource,
+    ScoreConfig,
+    Scorer,
     parse_relations_csv,
     stem,
     tokenize,
@@ -25,11 +26,9 @@ WORDS = ("dog", "cat", "pen", "chef", "kitchen", "sofa", "jacket", "bread", "hot
 
 def random_graph(rng, words=WORDS):
     relations = []
-    rel_types = ["IsA", "AtLocation", "RelatedTo", "Antonym", "UsedFor"]
     for _ in range(rng.randint(5, 25)):
         start, end = rng.sample(words, 2)
-        relations.append(Relation(rng.choice(rel_types), start, end,
-                                  round(rng.uniform(0, 4), 2)))
+        relations.append(Relation(start, end, round(rng.uniform(0, 4), 2)))
     return relations
 
 
@@ -65,7 +64,7 @@ class TestNeighbors:
         assert "kitchen" in all_neighbors(TINY_EDGES, "chef")
 
     def test_stem_equal_noise_dropped(self):
-        relations = TINY_EDGES + [Relation("AtLocation", "pens", "pen", 9.0)]
+        relations = TINY_EDGES + [Relation("pens", "pen", 9.0)]
         assert all_neighbors(relations, "pen", 0.0) == set()
         # nor does a stem-equal edge count towards the graph-weight normaliser
         graph = KnowledgeGraph.project(relations, every_stem(relations) - {"pen"})
@@ -77,8 +76,9 @@ class TestNeighbors:
         assert "mixing bowl" not in all_neighbors(TINY_EDGES, "chef", 0.0, multiword)
 
     def test_lookup_goes_through_stems(self, scorer):
-        assert scorer.partition(tokenize("chefs")).related["chefs"] == \
-            scorer.partition(tokenize("chef")).related["chef"]
+        [chefs] = scorer.plan(tokenize("chefs")).factors
+        [chef] = scorer.plan(tokenize("chef")).factors
+        assert (chefs.related, chefs.terms) == (chef.related, chef.terms)
 
     def test_min_weight_antitone(self):
         rng = random.Random(11)
@@ -95,8 +95,7 @@ class TestNeighbors:
             vocab = rng.sample(WORDS, rng.randint(1, len(WORDS)))
             detector_stems = {stem(v) for v in vocab}
             graph = KnowledgeGraph.project(relations, detector_stems)
-            world = oracle.World(vocab, {}, [(r.rel_type, r.start, r.end, r.weight)
-                                             for r in relations], [])
+            world = oracle.World(vocab, {}, [("RelatedTo", *r) for r in relations], [])
             # a word with a stem-matching detector never reaches the graph tier
             words = [w for w in WORDS if stem(w) not in detector_stems]
             for min_weight in (0.0, 1.0, 2.5):
@@ -114,8 +113,7 @@ STEM_FAMILIES = ["dog", "dogs", "dogged", "run", "runs", "running", "runner",
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.lists(st.tuples(st.sampled_from(["IsA", "RelatedTo"]),
-                          st.sampled_from(STEM_FAMILIES), st.sampled_from(STEM_FAMILIES),
+@given(st.lists(st.tuples(st.sampled_from(STEM_FAMILIES), st.sampled_from(STEM_FAMILIES),
                           st.sampled_from([0.5, 1.0, 2.0])), max_size=25))
 def test_no_neighbor_shares_the_word_stem(edges):
     relations = [Relation(*e) for e in edges]
@@ -123,27 +121,22 @@ def test_no_neighbor_shares_the_word_stem(edges):
         assert all(stem(c) != stem(word) for c in all_neighbors(relations, word, 0.0))
 
 
-def cn_det(graph, word):
-    return set(RelatednessSource(variant="graph", graph=graph)
-               .related_detectable(stem(word), 1.0))
-
-
 class TestCnDet:
     def test_filters_to_detectable(self, bank):
         g = KnowledgeGraph.project([
-            Relation("IsA", "tuxedo", "jacket", 1.5),
-            Relation("RelatedTo", "tuxedo", "prom", 1.0),
+            Relation("tuxedo", "jacket", 1.5),
+            Relation("tuxedo", "prom", 1.0),
         ], bank.stem_index)
-        assert cn_det(g, "tuxedo") == {"jacket"}
+        assert neighbors(g, "tuxedo") == {"jacket"}
 
     def test_none_detectable(self, bank):
-        g = KnowledgeGraph.project([Relation("IsA", "ghost", "spirit", 1.0)],
+        g = KnowledgeGraph.project([Relation("ghost", "spirit", 1.0)],
                                    bank.stem_index)
-        assert cn_det(g, "ghost") == set()
+        assert neighbors(g, "ghost") == set()
         assert g.rows == {}
 
     def test_bagel_via_doughnut_and_bread(self, graph):
-        assert cn_det(graph, "bagel") == {"doughnut", "bread"}
+        assert neighbors(graph, "bagel") == {"doughnut", "bread"}
 
 
 def co_occurring(corpus, word):
@@ -192,7 +185,7 @@ class TestIngestCsv:
 
     def test_underscores_become_spaces(self, tiny_files, bank):
         relations = parse_relations_csv(tiny_files["graph"])
-        assert ("IsA", "sofa", "piece of furniture", 3.0) in relations
+        assert ("sofa", "piece of furniture", 3.0) in relations
         loaded = KnowledgeGraph.project(relations, bank.stem_index.keys() |
                                         {"piece of furniture", "mixing bowl"})
         # the multiword concepts are dropped, so no retained edge has a space
@@ -234,9 +227,9 @@ class TestIngestCsv:
 class TestProjection:
     def test_rows_hold_best_weight_and_stem(self, bank):
         graph = KnowledgeGraph.project([
-            Relation("IsA", "chef", "person", 1.0),
-            Relation("RelatedTo", "person", "chefs", 2.5),
-            Relation("IsA", "chef", "dogs", 0.5),
+            Relation("chef", "person", 1.0),
+            Relation("person", "chefs", 2.5),
+            Relation("chef", "dogs", 0.5),
         ], bank.stem_index)
         assert graph.rows["chef"] == (("dogs", "dog", 0.5), ("person", "person", 2.5))
         assert graph.max_weight == 2.5
@@ -246,8 +239,8 @@ class TestProjection:
 
     def test_detector_stems_get_no_row(self, bank):
         # a word whose stem has a detector is scored in the stem tier
-        graph = KnowledgeGraph.project([Relation("IsA", "dogs", "grass", 1.0),
-                                        Relation("IsA", "chef", "dog", 1.0)],
+        graph = KnowledgeGraph.project([Relation("dogs", "grass", 1.0),
+                                        Relation("chef", "dog", 1.0)],
                                        bank.stem_index)
         assert set(graph.rows) == {"chef"}
         corpus = CooccurrenceModel.project([{"dog", "grass", "chef"}], bank.stem_index)
@@ -256,31 +249,40 @@ class TestProjection:
 
     def test_max_weight_counts_edges_without_detectors(self, bank):
         graph = KnowledgeGraph.project([
-            Relation("IsA", "chef", "person", 1.0),
-            Relation("IsA", "ghost", "spirit", 3.0),
+            Relation("chef", "person", 1.0),
+            Relation("ghost", "spirit", 3.0),
         ], bank.stem_index)
         assert graph.max_weight == 3.0
 
     def test_all_zero_weights_normalise_by_one(self, bank):
-        graph = KnowledgeGraph.project([Relation("IsA", "chef", "person", 0.0)],
+        graph = KnowledgeGraph.project([Relation("chef", "person", 0.0)],
                                        bank.stem_index)
         assert graph.max_weight == 1.0
         assert graph.neighbors("chef", 0.0) == {"person": "person"}
 
 
-class TestRelatednessSource:
-    def test_graph_variant(self, graph):
-        src = RelatednessSource(variant="graph", graph=graph)
-        assert set(src.related_detectable("chef", 1.0)) == {"person", "dish", "kitchen"}
-        assert src.related_detectable("chef", 2.0) == {"person": "person",
-                                                       "kitchen": "kitchen"}
+class TestRelatedWords:
+    """A knowledge-tier factor reads its related words from the configured source."""
 
-    def test_corpus_variant(self, corpus):
-        src = RelatednessSource(variant="corpus-cooccurrence", corpus=corpus)
-        assert set(src.related_detectable("chef", 1.0)) == {"person", "kitchen", "dish"}
+    def test_graph_variant(self, scorer):
+        [chef] = scorer.plan(tokenize("chef")).factors
+        assert set(chef.related) == {"person", "dish", "kitchen"}
+        [strict] = scorer.with_config(min_weight=2.0).plan(tokenize("chef")).factors
+        assert strict.related == ("kitchen", "person")
+        assert [stem_class for stem_class, _, _ in strict.terms] == [("kitchen",),
+                                                                    ("person",)]
 
-    def test_requires_backing_source(self, graph):
+    def test_corpus_variant(self, scorer):
+        esp = scorer.with_config(relatedness="corpus-cooccurrence")
+        [chef] = esp.plan(tokenize("chef")).factors
+        assert set(chef.related) == {"person", "kitchen", "dish"}
+
+    def test_requires_backing_source(self, bank, graph, corpus):
+        with pytest.raises(ValueError, match="graph"):
+            Scorer(bank, cooccur=corpus).plan(tokenize("chef"))
+        with pytest.raises(ValueError, match="co-occurrence"):
+            Scorer(bank, graph, config=ScoreConfig(relatedness="corpus-cooccurrence",
+                                                   conditional_estimator="constant_one")
+                   ).plan(tokenize("chef"))
         with pytest.raises(ValueError):
-            RelatednessSource(variant="graph")
-        with pytest.raises(ValueError):
-            RelatednessSource(variant="nope", graph=graph)
+            ScoreConfig(relatedness="nope")

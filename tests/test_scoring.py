@@ -13,11 +13,9 @@ from cnretrieval import (
     DetectorBank,
     KnowledgeGraph,
     Relation,
-    RelatednessSource,
     ScoreConfig,
     Scorer,
     UnknownImageError,
-    partition_query,
     stem,
     stem_set,
     tokenize,
@@ -30,11 +28,20 @@ import oracle
 def pair_estimate(word, related, image, bank, cooccur, weight=1.0, **config):
     """Estimate of ``word``'s presence through ``related`` alone: the only
     factor of the one-word query when the graph has just the edge between them."""
-    graph = KnowledgeGraph.project([Relation("RelatedTo", word, related, weight)],
-                                   bank.stem_index)
+    graph = KnowledgeGraph.project([Relation(word, related, weight)], bank.stem_index)
     scorer = Scorer(bank, graph, cooccur, config=ScoreConfig(**config))
     [factor] = scorer.plan(tokenize(word)).factor_values(image)
     return factor
+
+
+def tier_words(plan, tier):
+    """The words ``plan`` scores in ``tier``."""
+    return {f.word for f in plan.factors if f.tier == tier}
+
+
+def undetected(plan, tokens):
+    """The words of ``tokens`` that ``plan`` leaves without a factor."""
+    return {t.surface for t in tokens} - {f.word for f in plan.factors}
 
 
 def stem_max(bank, word, image):
@@ -61,54 +68,51 @@ class TestScoreConfig:
 
 class TestPartition:
     def test_chef_sentence(self, scorer):
-        partition = scorer.partition(tokenize("a chef and his dish"))
-        assert partition.detectable == {"dish"}
-        assert set(partition.related) == {"chef"}
+        tokens = tokenize("a chef and his dish")
+        plan = scorer.plan(tokens)
+        assert tier_words(plan, DETECTOR) == {"dish"}
+        assert tier_words(plan, KNOWLEDGE) == {"chef"}
         # "a", "and", "his" are stopwords with no detector: undetected
-        assert partition.undetected == {"a", "and", "his"}
+        assert undetected(plan, tokens) == {"a", "and", "his"}
 
     def test_stem_detectable(self, scorer):
-        partition = scorer.partition(tokenize("dogs"))
-        assert partition.stem_detectable == {"dogs"}
+        assert tier_words(scorer.plan(tokenize("dogs")), STEM) == {"dogs"}
 
     def test_fully_unknown_word(self, scorer):
-        partition = scorer.partition(tokenize("zebra"))
-        assert partition.undetected == {"zebra"}
+        tokens = tokenize("zebra")
+        assert undetected(scorer.plan(tokens), tokens) == {"zebra"}
 
     def test_tiers_are_disjoint_and_cover(self, scorer):
         tokens = tokenize("a man runs with his dogs near the chef tuxedo zebra")
-        partition = scorer.partition(tokens)
-        tiers = [partition.detectable, partition.stem_detectable,
-                 set(partition.related), partition.undetected]
-        union = set().union(*tiers)
-        assert union == {t.surface for t in tokens}
-        assert sum(len(t) for t in tiers) == len(union)
+        plan = scorer.plan(tokens)
+        words = [f.word for f in plan.factors]
+        assert len(words) == len(set(words))
+        assert set(words) | undetected(plan, tokens) == {t.surface for t in tokens}
+        # sum order: sorted detector words, sorted stem words, sorted knowledge words
+        assert [(f.tier, f.word) for f in plan.factors] == [
+            (DETECTOR, "man"), (DETECTOR, "runs"), (STEM, "dogs"),
+            (KNOWLEDGE, "chef"), (KNOWLEDGE, "tuxedo")]
 
     def test_stopword_gate_only_affects_cn_tier(self, bank, graph, corpus):
         # "in" gets a graph edge; with the filter on it stays undetected
-        g = KnowledgeGraph.project([Relation("RelatedTo", "in", "dog", 1.0)],
-                                   bank.stem_index)
-        src = RelatednessSource(variant="graph", graph=g)
-        on = partition_query(tokenize("in"), bank, src, ScoreConfig())
-        off = partition_query(tokenize("in"), bank, src,
-                              ScoreConfig(stopword_filter=False))
-        assert on.undetected == {"in"}
-        assert set(off.related) == {"in"}
+        g = KnowledgeGraph.project([Relation("in", "dog", 1.0)], bank.stem_index)
+        on = Scorer(bank, g, corpus).plan(tokenize("in"))
+        off = Scorer(bank, g, corpus, config=ScoreConfig(stopword_filter=False)) \
+            .plan(tokenize("in"))
+        assert undetected(on, tokenize("in")) == {"in"}
+        assert tier_words(off, KNOWLEDGE) == {"in"}
 
     def test_noun_only_gate(self, scorer, bank, graph, corpus):
         from cnretrieval import WordClassMap
         nn = scorer.with_config(noun_only=True)
-        assert set(nn.partition(tokenize("chef")).related) == {"chef"}
+        assert tier_words(nn.plan(tokenize("chef")), KNOWLEDGE) == {"chef"}
         relabeled = Scorer(bank, graph, corpus,
                            WordClassMap(entries={"chef": "verb"}),
                            ScoreConfig(noun_only=True))
-        assert not relabeled.partition(tokenize("chef")).related
-        assert relabeled.partition(tokenize("chef")).undetected == {"chef"}
+        assert relabeled.plan(tokenize("chef")).factors == ()
 
     def test_noun_only_requires_class_map(self, bank, graph, corpus):
         s = Scorer(bank, graph, corpus, None, ScoreConfig(noun_only=True))
-        with pytest.raises(ValueError):
-            s.partition(tokenize("chef"))
         with pytest.raises(ValueError):
             s.plan(tokenize("chef"))
         # the detector and stem tiers never consult word classes
@@ -118,15 +122,23 @@ class TestPartition:
 
     def test_plan_partition_stops_at_tiers(self, scorer):
         tokens = tokenize("man dogs chef")
-        mil = partition_query(tokens, scorer.bank, scorer.relatedness, scorer.config,
-                              tiers=DETECTOR)
-        milstem = partition_query(tokens, scorer.bank, scorer.relatedness,
-                                  scorer.config, tiers=STEM)
-        assert mil.undetected == {"dogs", "chef"}
-        assert milstem.stem_detectable == {"dogs"}
-        assert milstem.undetected == {"chef"}
-        assert scorer.partition(tokens).related == {
-            "chef": {"dish": "dish", "kitchen": "kitchen", "person": "person"}}
+        mil, milstem = scorer.plan(tokens, DETECTOR), scorer.plan(tokens, STEM)
+        assert undetected(mil, tokens) == {"dogs", "chef"}
+        assert tier_words(milstem, STEM) == {"dogs"}
+        assert undetected(milstem, tokens) == {"chef"}
+        [chef] = [f for f in scorer.plan(tokens).factors if f.tier == KNOWLEDGE]
+        assert chef.word == "chef"
+        assert chef.related == ("dish", "kitchen", "person")
+        assert [stem_class for stem_class, _, _ in chef.terms] == [
+            ("dish",), ("kitchen",), ("person",)]
+
+    def test_detector_and_stem_plans_need_no_knowledge_source(self, bank):
+        scorer = Scorer(bank)
+        tokens = tokenize("man dogs chef")
+        assert scorer.plan(tokens, DETECTOR).score("img_beach") == pytest.approx(0.8)
+        assert scorer.plan(tokens, STEM).score("img_beach") == pytest.approx(0.8 * 0.6)
+        with pytest.raises(ValueError, match="graph"):
+            scorer.plan(tokens)  # the knowledge tier needs its source
 
 
 class TestMilScore:
@@ -194,7 +206,7 @@ class TestPairEstimate:
 
     def test_requires_stem_detector(self, scorer):
         # a related word without a stem-matching detector yields no estimate
-        graph = KnowledgeGraph.project([Relation("RelatedTo", "chef", "zebra", 1.0)],
+        graph = KnowledgeGraph.project([Relation("chef", "zebra", 1.0)],
                                        scorer.bank.stem_index)
         plan = Scorer(scorer.bank, graph, scorer.cooccur).plan(tokenize("chef"))
         assert plan.factor_values("img_kitchen") == []
@@ -278,7 +290,7 @@ class TestScoresAgainstOracle:
         from conftest import TINY_CORPUS, TINY_EDGES, TINY_SCORES, TINY_VOCAB
         return oracle.World(
             TINY_VOCAB, TINY_SCORES,
-            [(r.rel_type, r.start, r.end, r.weight) for r in TINY_EDGES],
+            [("RelatedTo", *r) for r in TINY_EDGES],
             TINY_CORPUS, dict(word_classes.entries),
         )
 
@@ -322,10 +334,10 @@ class TestScoresAgainstOracle:
 class TestMinWeight:
     def test_with_config_applies_min_weight(self, scorer, bank, graph, corpus):
         tokens = tokenize("chef")
-        [(_, default)] = scorer.plan(tokens).factors
-        [(_, strict)] = scorer.with_config(min_weight=2.0).plan(tokens).factors
-        assert len(default) == 3  # person 2.5, kitchen 2.0, dish 1.0
-        assert len(strict) == 2
+        [default] = scorer.plan(tokens).factors
+        [strict] = scorer.with_config(min_weight=2.0).plan(tokens).factors
+        assert len(default.terms) == 3  # person 2.5, kitchen 2.0, dish 1.0
+        assert len(strict.terms) == 2
         fresh = Scorer(bank, graph, corpus, config=ScoreConfig(min_weight=2.0))
         assert fresh.plan(tokens).factors == \
             scorer.with_config(min_weight=2.0).plan(tokens).factors
@@ -334,19 +346,20 @@ class TestMinWeight:
         # chef co-occurs with person, kitchen and dish; its edges weigh 2.5, 2.0, 1.0
         variant = scorer.with_config(relatedness="corpus-cooccurrence",
                                      conditional_estimator="graph_weight", min_weight=2.0)
-        [(_, terms)] = variant.plan(tokenize("chef")).factors
-        assert [(stem_class, c1) for stem_class, c1, _ in terms] == [
+        [factor] = variant.plan(tokenize("chef")).factors
+        assert [(stem_class, c1) for stem_class, c1, _ in factor.terms] == [
             (("dish",), 0.0), (("kitchen",), 2.0 / 2.5), (("person",), 1.0)]
 
     def test_threshold_above_every_edge_leaves_no_graph_tier(self, scorer):
-        assert scorer.with_config(min_weight=3.0).partition(tokenize("chef")).related == {}
+        assert scorer.with_config(min_weight=3.0).plan(tokenize("chef")).factors == ()
 
-    def test_partition_reads_the_threshold_from_the_config(self, bank, graph):
-        src = RelatednessSource(variant="graph", graph=graph)
+    def test_partition_reads_the_threshold_from_the_config(self, bank, graph, corpus):
         tokens = tokenize("chef")
-        assert partition_query(tokens, bank, src, ScoreConfig(min_weight=3.0)).related == {}
-        assert set(partition_query(tokens, bank, src, ScoreConfig(min_weight=2.0))
-                   .related["chef"]) == {"person", "kitchen"}
+        assert Scorer(bank, graph, corpus, config=ScoreConfig(min_weight=3.0)) \
+            .plan(tokens).factors == ()
+        [factor] = Scorer(bank, graph, corpus, config=ScoreConfig(min_weight=2.0)) \
+            .plan(tokens).factors
+        assert set(factor.related) == {"person", "kitchen"}
 
 
 #: "bakeseseseseseseseseseseses" stems to "bakeseseses", which stems on to
@@ -385,7 +398,8 @@ def tiny_worlds(draw):
 def test_projected_plans_match_oracle(world_and_query, aggregator):
     world, query = world_and_query
     bank = DetectorBank.build(world.vocab, world.scores)
-    graph = KnowledgeGraph.project([Relation(*e) for e in world.edges], bank.stem_index)
+    graph = KnowledgeGraph.project([Relation(*e[1:]) for e in world.edges],
+                                   bank.stem_index)
     corpus = CooccurrenceModel.project((stem_set(tags) for _, tags in world.corpus),
                                        bank.stem_index)
     tokens = tokenize(query)
@@ -396,14 +410,15 @@ def test_projected_plans_match_oracle(world_and_query, aggregator):
                 scorer = Scorer(bank, graph, corpus, config=ScoreConfig(
                     aggregator=aggregator, relatedness=relatedness,
                     conditional_estimator=estimator, min_weight=min_weight))
-                related = scorer.partition(tokens).related
-                _, _, knowledge_words, _ = oracle.partition(world, words, source,
-                                                            min_weight)
-                assert set(related) == knowledge_words
-                for w, found in related.items():
-                    assert set(found) == oracle.related_detectable(world, w, source,
-                                                                   min_weight)
                 plan = scorer.plan(tokens)
+                tiers = oracle.partition(world, words, source, min_weight)
+                assert [tier_words(plan, DETECTOR), tier_words(plan, STEM),
+                        tier_words(plan, KNOWLEDGE), undetected(plan, tokens)] == \
+                    list(tiers)
+                for f in plan.factors:
+                    if f.tier == KNOWLEDGE:
+                        assert set(f.related) == oracle.related_detectable(
+                            world, f.word, source, min_weight)
                 for image in world.images:
                     assert plan.score(image) == pytest.approx(oracle.cn(
                         world, words, image, aggregator, source, estimator, min_weight),

@@ -61,7 +61,7 @@ def test_plan_stems_only_the_query_tokens(saved, relatedness, estimator):
     text.stem.cache_clear()
     tokens = tokenize(QUERY)
     plan = scorer.plan(tokens)
-    assert any(len(terms) > 1 for _, terms in plan.factors)  # the knowledge tier ran
+    assert any(len(f.terms) > 1 for f in plan.factors)  # the knowledge tier ran
     assert text.stem.cache_info().misses == len(tokens)
 
 
