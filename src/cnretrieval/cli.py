@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import fields as dataclass_fields
 
@@ -185,7 +186,7 @@ def cmd_score(args) -> int:
     _check_word_classes(scorer)
     plan = scorer.plan(tokenize(args.query))
     ranking = evaluation.rank_images(scorer.bank.images, plan.log_score)
-    top = [(image, plan.score(image)) for image, _ in ranking[: args.top_k]]
+    top = [(image, math.exp(log_score)) for image, log_score in ranking[: args.top_k]]
     if args.output == "json":
         print(json.dumps([{"image": i, "score": s} for i, s in top], indent=2))
     else:

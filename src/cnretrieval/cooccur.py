@@ -4,7 +4,9 @@ Raw tags are lowercased and stemmed once, in :func:`parse_tags_jsonl`.
 Scoring reads the corpus only through the number of images, each stem's
 document frequency, and the co-counts of a stem without a detector (any
 other query word is scored in the stem tier) with the tag stems that have
-one, so :meth:`CooccurrenceModel.project` keeps just those. Counts
+one, so :meth:`CooccurrenceModel.project` keeps just those. Stemming is
+idempotent, so a tag stem has a detector exactly when it is a detector stem,
+and the partners in a co-count row are the related words themselves. Counts
 are over images, not tag occurrences. Conditioning on a word never seen in
 the corpus yields probability 0 (no evidence), as does conditioning on the
 absence of a word present in every image.
@@ -51,27 +53,23 @@ class CooccurrenceModel:
     #: tag stem -> images tagged with it
     df: dict[str, int] = field(default_factory=dict)
     #: tag stem that is not a detector stem -> {partner: images tagged with
-    #: both}, in partner order; a partner is another tag stem that is, or
-    #: stems to, a detector stem
+    #: both}, in partner order; a partner is a tag stem that is a detector stem
     co_counts: dict[str, dict[str, int]] = field(default_factory=dict)
-    #: tag stem -> its stem, for every tag stem whose stem has a detector
-    detectable: dict[str, str] = field(default_factory=dict)
 
     @classmethod
     def project(cls, tag_sets, detector_stems) -> "CooccurrenceModel":
         """Count a corpus given as one set of tag stems per image, keeping the
         co-counts of the stems outside ``detector_stems``, the stems that have
-        a detector, with the partners of ``detector_stems``."""
+        a detector, with the stems inside it. A stem is its own stem, so a tag
+        stem has a detector exactly when it is in ``detector_stems``."""
         tag_sets = list(tag_sets)
         df: dict[str, int] = {}
         for tags in tag_sets:
             for t in tags:
                 df[t] = df.get(t, 0) + 1
-        detectable = {t: s for t in sorted(df) if (s := text.stem(t)) in detector_stems}
-        partners = detectable.keys() | (df.keys() & detector_stems)
         co_counts: dict[str, dict[str, int]] = {}
         for tags in tag_sets:
-            found = [t for t in tags if t in partners]
+            found = [t for t in tags if t in detector_stems]
             if not found:
                 continue
             for s in tags:
@@ -79,14 +77,11 @@ class CooccurrenceModel:
                     continue
                 row = co_counts.setdefault(s, {})
                 for t in found:
-                    if t != s:
-                        row[t] = row.get(t, 0) + 1
+                    row[t] = row.get(t, 0) + 1
         return cls(
             n_images=len(tag_sets),
             df=dict(sorted(df.items())),
-            co_counts={s: dict(sorted(row.items())) for s, row in sorted(co_counts.items())
-                       if row},
-            detectable=detectable,
+            co_counts={s: dict(sorted(row.items())) for s, row in sorted(co_counts.items())},
         )
 
     def co_count(self, stem: str, detector_stem: str) -> int:
@@ -112,7 +107,6 @@ class CooccurrenceModel:
         return (self.df.get(stem, 0) - self.co_count(stem, given)) / denom
 
     def co_occurring(self, stem: str) -> dict[str, str]:
-        """Tag stems sharing an image with ``stem`` whose stem has a detector,
-        each mapped to that stem, in tag order; ``stem`` itself is excluded."""
-        detectable = self.detectable
-        return {t: detectable[t] for t in self.co_counts.get(stem, ()) if t in detectable}
+        """Detector stems sharing an image with ``stem``, a stem without a
+        detector, each mapped to itself, in tag order."""
+        return {t: t for t in self.co_counts.get(stem, ())}

@@ -13,9 +13,6 @@ from dataclasses import dataclass
 
 from .errors import EvaluationError, IngestError, open_text
 
-SENTENCE = "sentence"
-SINGLE_WORD = "single-word"
-
 DEFAULT_KS = (1, 5, 10)
 
 
@@ -26,15 +23,12 @@ class QueryRecord:
     query_id: str
     text: str
     ground_truth: frozenset[str]
-    protocol: str = SENTENCE
 
     def __post_init__(self):
         if not self.text:
             raise ValueError("query text must be non-empty")
         if not self.ground_truth:
             raise ValueError("ground_truth must be non-empty")
-        if self.protocol not in (SENTENCE, SINGLE_WORD):
-            raise ValueError(f"unknown protocol {self.protocol!r}")
 
 
 @dataclass(frozen=True)
@@ -118,7 +112,6 @@ def load_queries(path) -> list[QueryRecord]:
                     query_id=str(obj["query_id"]),
                     text=obj["text"],
                     ground_truth=frozenset(str(g) for g in obj["ground_truth"]),
-                    protocol=obj.get("protocol", SENTENCE),
                 )
             except (KeyError, TypeError, ValueError) as exc:
                 raise IngestError(f"bad query record: {exc}", path=path, line=lineno)

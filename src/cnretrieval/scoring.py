@@ -52,6 +52,12 @@ class ScoreConfig:
     clamp_epsilon: float = 1e-12
 
     def __post_init__(self):
+        for name in ("noun_only", "stopword_filter"):
+            if type(getattr(self, name)) is not bool:
+                raise TypeError(f"{name} must be true or false")
+        for name in ("min_weight", "clamp_epsilon"):
+            if type(getattr(self, name)) not in (int, float):
+                raise TypeError(f"{name} must be a number")
         if self.aggregator not in AGGREGATORS:
             raise ValueError(f"unknown aggregator {self.aggregator!r}")
         if self.relatedness not in (GRAPH, CORPUS_COOCCURRENCE):

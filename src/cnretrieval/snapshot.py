@@ -5,11 +5,11 @@ and tag corpus already projected onto that vocabulary (see
 :meth:`KnowledgeGraph.project` and :meth:`CooccurrenceModel.project`):
 for each stem its detectable neighbors with their best edge weights and the
 heaviest edge, and the corpus's image count, document frequencies and
-co-counts with detectable tag stems. Loading unpickles these tables, checks
-in one pass over them that every query they serve can be scored, and builds
-the detector bank, which stems the vocabulary and nothing else; the
-``min_weight`` threshold is applied when a row is read, so one
-snapshot serves every config. Each distinct string is written once, which
+co-counts with the tag stems that are detector stems. Loading unpickles
+these tables, checks in one pass over them that every query they serve can
+be scored, and builds the detector bank, which stems the vocabulary and
+nothing else; the ``min_weight`` threshold is applied when a row is read, so
+one snapshot serves every config. Each distinct string is written once, which
 makes re-ingesting identical inputs byte-identical.
 """
 
@@ -24,7 +24,7 @@ from .errors import SnapshotError
 from .knowledge import KnowledgeGraph
 from .text import WordClassMap
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 
 def save(path, bank: DetectorBank, graph: KnowledgeGraph, corpus: CooccurrenceModel,
@@ -54,7 +54,6 @@ def save(path, bank: DetectorBank, graph: KnowledgeGraph, corpus: CooccurrenceMo
             "df": {one(s): n for s, n in corpus.df.items()},
             "co_counts": {one(s): {one(t): n for t, n in row.items()}
                           for s, row in corpus.co_counts.items()},
-            "detectable": {one(t): one(s) for t, s in corpus.detectable.items()},
         },
         "word_classes": {one(w): one(c) for w, c in sorted(word_classes.entries.items())}
         if word_classes is not None else None,
@@ -110,19 +109,18 @@ def _graph(table, detector_stems) -> KnowledgeGraph:
 
 
 def _corpus(table, detector_stems) -> CooccurrenceModel:
-    """The corpus tables, checked so that no conditional probability is
-    negative: no stem is in more images than there are, and no co-count
-    exceeds its stem's document frequency."""
+    """The corpus tables, checked so that every query they serve can be
+    scored: each co-count partner is a detector stem, no stem is in more
+    images than there are, and no co-count exceeds its stem's document
+    frequency, so no conditional probability is negative."""
     n_images = int(table["n_images"])
     df = _counts(table["df"], n_images)
     co_counts = _dict(table["co_counts"])
     for stem, row in co_counts.items():
         _counts(row, df.get(stem, 0))
-    detectable = _dict(table["detectable"])
-    if not set(detectable.values()) <= detector_stems.keys():
-        raise ValueError("a detectable tag stem maps to a stem without a detector")
-    return CooccurrenceModel(n_images=n_images, df=df, co_counts=co_counts,
-                             detectable=detectable)
+    if not set().union(*co_counts.values()) <= detector_stems.keys():
+        raise ValueError("a co-count partner has no detector")
+    return CooccurrenceModel(n_images=n_images, df=df, co_counts=co_counts)
 
 
 def _counts(table, most) -> dict:

@@ -1,9 +1,11 @@
 """Query and tag normalization: tokenization, stemming, stopwords, word classes.
 
-The stemmer is the classic Porter suffix-stripping algorithm, applied to a
-fixpoint so that stemming is idempotent (the single-pass algorithm is not, in
-rare cases). Stems are therefore deterministic and reproducible, but may
-differ from other stemmer variants on unusual words.
+The stemmer is the classic Porter suffix-stripping algorithm, applied until
+the word stops changing so that stemming is idempotent (the single-pass
+algorithm is not, in rare cases). The loop always ends: a pass that changes a
+word either shortens it, or keeps its length and turns a final ``y`` into
+``i`` or ``e``, or a final ``i`` into ``e``. Stems are therefore deterministic
+and reproducible, but may differ from other stemmer variants on unusual words.
 """
 
 from __future__ import annotations
@@ -52,13 +54,16 @@ def _is_consonant(word: str, i: int) -> bool:
 
 
 def _measure(stem: str) -> int:
-    """Number of vowel-consonant blocks in the [C](VC)^m[V] form."""
+    """Number of vowel-consonant blocks in the [C](VC)^m[V] form, counted up
+    to 2: every rule compares it with 0, 1 or 2."""
     m = 0
     prev_vowel = False
     for i in range(len(stem)):
         cons = _is_consonant(stem, i)
         if cons and prev_vowel:
             m += 1
+            if m == 2:
+                return m
         prev_vowel = not cons
     return m
 
@@ -187,13 +192,9 @@ def stem(word: str) -> str:
     >>> stem("running")
     'run'
     """
-    current = word
-    for _ in range(8):  # passes strictly shrink; 8 is far beyond any real chain
-        after = _porter_pass(current)
-        if after == current:
-            return after
-        current = after
-    return current
+    while (after := _porter_pass(word)) != word:
+        word = after
+    return word
 
 
 def stem_set(words) -> frozenset[str]:

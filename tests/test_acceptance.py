@@ -222,8 +222,7 @@ def test_random_baseline_mean_rank():
         images = [f"i{k:04d}" for k in range(n_images)]
         queries = [
             QueryRecord(query_id=f"q{k}", text="word",
-                        ground_truth=frozenset([images[rng.randrange(n_images)]]),
-                        protocol="single-word")
+                        ground_truth=frozenset([images[rng.randrange(n_images)]]))
             for k in range(2000)
         ]
         state = {"qid": None, "scores": None}

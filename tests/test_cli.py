@@ -292,7 +292,9 @@ class TestConfigPrecedence:
                                     "--config", config])
         assert code == 2
 
-    @pytest.mark.parametrize("content", [{"min_weight": "x"}, 5])
+    @pytest.mark.parametrize("content", [
+        {"min_weight": "x"}, 5, {"stopword_filter": "false"}, {"noun_only": "false"},
+        {"min_weight": True}])
     def test_bad_config_value_exits_2(self, snap, tiny_files, content, capsys):
         config = tiny_files["dir"] / "config.json"
         config.write_text(json.dumps(content))

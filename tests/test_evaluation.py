@@ -123,15 +123,13 @@ class TestQueryRecords:
                         "protocol": "single-word"}) + "\n")
         records = load_queries(path)
         assert len(records) == 2
-        assert records[1].protocol == "single-word"
         assert records[1].ground_truth == {"i1", "i2"}
 
-    def test_bad_protocol_rejected(self, tmp_path):
+    def test_protocol_key_is_ignored(self, tmp_path):
         path = tmp_path / "q.jsonl"
         path.write_text(json.dumps({"query_id": "q", "text": "x",
                                     "ground_truth": ["i"], "protocol": "pairs"}) + "\n")
-        with pytest.raises(IngestError, match="1"):
-            load_queries(path)
+        assert load_queries(path) == [QueryRecord("q", "x", frozenset({"i"}))]
 
     @pytest.mark.parametrize("field,value", [
         ("text", None), ("text", 5), ("ground_truth", "img_kitchen"),

@@ -68,11 +68,12 @@ def test_plan_stems_only_the_query_tokens(saved, relatedness, estimator):
 def test_tables_round_trip_as_plain_containers(saved):
     path, graph, corpus = saved
     payload = pickle.loads(path.read_bytes())
-    assert payload["format_version"] == snapshot.FORMAT_VERSION == 2
+    assert payload["format_version"] == snapshot.FORMAT_VERSION == 3
     rows = payload["graph"]["rows"]
     assert rows == graph.rows
     assert all(type(row) is tuple and all(type(n) is tuple for n in row)
                for row in rows.values())
+    assert set(payload["corpus"]) == {"n_images", "df", "co_counts"}
     assert payload["corpus"]["co_counts"] == corpus.co_counts
     # only what the vocabulary can reach is stored
     assert "umbrella" not in payload["corpus"]["co_counts"]["chef"]
@@ -96,7 +97,8 @@ BAD_TABLES = {
         **rows, "chef": {**rows["chef"], "person": 4}}),
     "count-not-a-number": ("corpus", "co_counts", lambda rows: {
         **rows, "chef": {**rows["chef"], "person": None}}),
-    "tag-to-unknown-stem": ("corpus", "detectable", lambda d: {**d, "person": "zebra"}),
+    "tag-to-unknown-stem": ("corpus", "co_counts", lambda rows: {
+        **rows, "chef": {**rows["chef"], "zebra": 1}}),
 }
 
 
@@ -138,3 +140,14 @@ def test_version_1_snapshot_asks_to_reingest(tmp_path, capsys, checksums):
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert str(path) in err and "version 1" in err and "re-ingest" in err
+
+
+def test_version_2_snapshot_asks_to_reingest(saved, capsys):
+    path = saved[0]
+    payload = pickle.loads(path.read_bytes())
+    payload["format_version"] = 2
+    path.write_bytes(pickle.dumps(payload, protocol=4))
+    assert cli.main(["classify", "chef", "--snapshot", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert str(path) in err and "version 2" in err and "re-ingest" in err

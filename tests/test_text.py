@@ -1,7 +1,8 @@
 import string
+import time
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from cnretrieval import IngestError, WordClassMap, stem, stem_set, tokenize
@@ -24,8 +25,16 @@ class TestStem:
         assert stem("dogs") == "dog"
 
     @given(words)
+    @example("bakeseseseseseseseseseseses")  # 12 passes
+    @example("ormsfulizeeedingesericicment")  # 11 passes
     def test_idempotent(self, w):
         assert stem(stem(w)) == stem(w)
+
+    def test_long_chain_reaches_its_fixpoint_quickly(self):
+        word = "bake" + "se" * 10000 + "s"  # 10,001 passes
+        start = time.perf_counter()
+        assert stem(word) == "bake"
+        assert time.perf_counter() - start < 5.0
 
     @given(words)
     def test_never_grows(self, w):
