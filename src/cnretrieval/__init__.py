@@ -37,7 +37,7 @@ from .scoring import (
     ScoreConfig,
     Scorer,
 )
-from .text import STOPWORDS, Token, WordClassMap, stem, stem_set, tokenize
+from .text import STOPWORDS, Token, parse_nouns_csv, stem, stem_set, tokenize
 
 __all__ = [
     "AGGREGATORS",
@@ -59,10 +59,10 @@ __all__ = [
     "STOPWORDS",
     "Token",
     "UnknownImageError",
-    "WordClassMap",
     "compute_report",
     "format_table",
     "load_queries",
+    "parse_nouns_csv",
     "parse_relations_csv",
     "parse_tags_jsonl",
     "rank_images",

@@ -18,7 +18,7 @@ from .detectors import DetectorBank
 from .errors import EvaluationError, IngestError, SnapshotError, open_text
 from .evaluation import EvalReport, compute_report, format_table, load_queries
 from .scoring import ScoreConfig, Scorer
-from .text import WordClassMap, tokenize
+from .text import parse_nouns_csv, tokenize
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -130,13 +130,12 @@ def resolve_config(args) -> ScoreConfig:
 
 def _load_scorer(args) -> Scorer:
     config = resolve_config(args)
-    bank, graph, corpus, word_classes = snapshot.load(args.snapshot)
-    return Scorer(bank, graph, corpus, word_classes, config)
+    return Scorer(*snapshot.load(args.snapshot), config)
 
 
 def _check_word_classes(scorer: Scorer, tiers: int = scoring.KNOWLEDGE) -> None:
     if tiers >= scoring.KNOWLEDGE and scorer.config.noun_only \
-            and scorer.word_classes is None:
+            and scorer.nouns is None:
         raise UsageError("noun-only scoring needs a snapshot ingested with "
                          "--word-classes")
 
@@ -147,8 +146,8 @@ def cmd_ingest(args) -> int:
                                              bank.stem_index)
     corpus = CooccurrenceModel.project(parse_tags_jsonl(args.corpus).values(),
                                        bank.stem_index)
-    word_classes = WordClassMap.from_csv(args.word_classes) if args.word_classes else None
-    snapshot.save(args.snapshot, bank, graph, corpus, word_classes)
+    nouns = parse_nouns_csv(args.word_classes) if args.word_classes else None
+    snapshot.save(args.snapshot, bank, graph, corpus, nouns)
     print(f"snapshot written to {args.snapshot}")
     return EXIT_OK
 

@@ -1,6 +1,6 @@
 """Detector bank: vocabulary, sparse per-image word scores, stem index.
 
-Missing (image, word) entries mean score 0; real detector dumps omit
+Missing (image, word) pairs mean score 0; real detector dumps omit
 near-zero scores. The bank is immutable after construction.
 """
 

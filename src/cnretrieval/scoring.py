@@ -9,6 +9,8 @@ first 1, 2 or 3 tiers, so the reduction chain (graph score == stem score when
 no graph-detectable word exists, etc.) holds exactly. The product is taken in
 log space so that 50-factor products of tiny probabilities still rank
 correctly. Factors are clamped below at ``clamp_epsilon`` before taking logs.
+The stopword and noun-only filters gate the knowledge tier alone; the latter
+only asks whether a word is in the snapshot's set of nouns.
 """
 
 from __future__ import annotations
@@ -75,10 +77,10 @@ def log_product(factors, eps: float) -> float:
     return sum(math.log(max(f, eps)) for f in factors)
 
 
-def _passes_cn_gate(word, config, word_classes) -> bool:
+def _passes_cn_gate(word, config, nouns) -> bool:
     if config.stopword_filter and word in text.STOPWORDS:
         return False
-    return not config.noun_only or word_classes.get(word) == text.NOUN
+    return not config.noun_only or word in nouns
 
 
 def _aggregate(estimates, aggregator: str) -> float:
@@ -150,20 +152,21 @@ class QueryPlan:
 class Scorer:
     """Bundles the loaded sources with a config; all inputs stay immutable.
 
-    Only the knowledge tier reads ``graph``, ``cooccur`` and ``word_classes``,
-    so a scorer without them still compiles detector and stem plans.
+    Only the knowledge tier reads ``graph``, ``cooccur`` and ``nouns``, the
+    words the noun-only filter lets through, so a scorer without them still
+    compiles detector and stem plans.
     """
 
-    def __init__(self, bank, graph=None, cooccur=None, word_classes=None,
+    def __init__(self, bank, graph=None, cooccur=None, nouns=None,
                  config: ScoreConfig | None = None):
         self.bank = bank
         self.graph = graph
         self.cooccur = cooccur
-        self.word_classes = word_classes
+        self.nouns = nouns
         self.config = config or ScoreConfig()
 
     def with_config(self, **overrides) -> "Scorer":
-        return Scorer(self.bank, self.graph, self.cooccur, self.word_classes,
+        return Scorer(self.bank, self.graph, self.cooccur, self.nouns,
                       replace(self.config, **overrides))
 
     def plan(self, tokens, tiers: int = KNOWLEDGE) -> QueryPlan:
@@ -175,13 +178,13 @@ class Scorer:
         (graph neighbors through an edge of at least ``min_weight``, or tag
         stems sharing a corpus image with it). The stopword and noun-only
         filters gate only the knowledge tier, which alone reads the graph,
-        the corpus and the word classes.
+        the corpus and the nouns.
         """
         config, stem_index = self.config, self.bank.stem_index
         if tiers >= KNOWLEDGE:
             related_to = self._related_to()
-            if config.noun_only and self.word_classes is None:
-                raise ValueError("noun_only filtering needs a word-class map")
+            if config.noun_only and self.nouns is None:
+                raise ValueError("noun_only filtering needs a noun set")
         found: dict[str, Factor] = {}
         for token in tokens:
             word = token.surface
@@ -192,7 +195,7 @@ class Scorer:
                 stem_class = tuple(stem_index[token.stem])
                 found[word] = Factor(word, STEM, MAX, ((stem_class, 1.0, 0.0),),
                                      stem_class)
-            elif tiers >= KNOWLEDGE and _passes_cn_gate(word, config, self.word_classes) \
+            elif tiers >= KNOWLEDGE and _passes_cn_gate(word, config, self.nouns) \
                     and (related := related_to(token.stem)):
                 found[word] = Factor(word, KNOWLEDGE, config.aggregator, tuple(
                     (tuple(stem_index[r]), *self._coefficients(token.stem, r))

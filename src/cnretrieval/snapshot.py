@@ -5,7 +5,9 @@ and tag corpus already projected onto that vocabulary (see
 :meth:`KnowledgeGraph.project` and :meth:`CooccurrenceModel.project`):
 for each stem its detectable neighbors with their best edge weights and the
 heaviest edge, and the corpus's image count, document frequencies and
-co-counts with the tag stems that are detector stems. Loading unpickles
+co-counts with the tag stems that are detector stems. If ingest read a
+word-class file, the snapshot also stores its nouns as a sorted list: the
+noun-only filter reads nothing else of it. Loading unpickles
 these tables, checks in one pass over them that every query they serve can
 be scored, and builds the detector bank, which stems the vocabulary and
 nothing else; the ``min_weight`` threshold is applied when a row is read, so
@@ -22,14 +24,13 @@ from .cooccur import CooccurrenceModel
 from .detectors import DetectorBank
 from .errors import SnapshotError
 from .knowledge import KnowledgeGraph
-from .text import WordClassMap
 
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 
 
 def save(path, bank: DetectorBank, graph: KnowledgeGraph, corpus: CooccurrenceModel,
-         word_classes: WordClassMap | None = None) -> None:
-    """Persist the bank and the projected graph and corpus tables."""
+         nouns: frozenset[str] | None = None) -> None:
+    """Persist the bank, the projected graph and corpus tables and the nouns."""
     # one object per distinct string: pickle writes each once, and the bytes
     # depend on the values only, not on which objects happen to be shared
     pool: dict[str, str] = {}
@@ -55,15 +56,14 @@ def save(path, bank: DetectorBank, graph: KnowledgeGraph, corpus: CooccurrenceMo
             "co_counts": {one(s): {one(t): n for t, n in row.items()}
                           for s, row in corpus.co_counts.items()},
         },
-        "word_classes": {one(w): one(c) for w, c in sorted(word_classes.entries.items())}
-        if word_classes is not None else None,
+        "nouns": None if nouns is None else [one(w) for w in sorted(nouns)],
     }
     with open(path, "wb") as fh:
         pickle.dump(payload, fh, protocol=4)
 
 
 def load(path):
-    """Rebuild (bank, graph, corpus, word_classes) from a snapshot file.
+    """Rebuild (bank, graph, corpus, nouns) from a snapshot file.
 
     Any file that is not a readable snapshot of this format raises SnapshotError.
     """
@@ -85,11 +85,14 @@ def load(path):
         bank = DetectorBank.build(payload["vocab"], payload["scores"])
         graph = _graph(payload["graph"], bank.stem_index)
         corpus = _corpus(payload["corpus"], bank.stem_index)
-        classes = payload["word_classes"]
-        word_classes = None if classes is None else WordClassMap(entries=_dict(classes))
+        nouns = payload["nouns"]
+        if nouns is not None:
+            if type(nouns) is not list:
+                raise TypeError(f"expected a list of nouns, got {type(nouns).__name__}")
+            nouns = frozenset(nouns)
     except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
         raise SnapshotError(f"{path} is not a valid snapshot: {exc!r}") from None
-    return bank, graph, corpus, word_classes
+    return bank, graph, corpus, nouns
 
 
 def _graph(table, detector_stems) -> KnowledgeGraph:

@@ -1,4 +1,5 @@
-"""Query and tag normalization: tokenization, stemming, stopwords, word classes.
+"""Query and tag normalization: tokenization, stemming, stopwords, and the
+nouns of a word-class file, which the noun-only filter reads.
 
 The stemmer is the classic Porter suffix-stripping algorithm, applied until
 the word stops changing so that stemming is idempotent (the single-pass
@@ -13,16 +14,13 @@ from __future__ import annotations
 import csv
 import functools
 import string
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import IngestError, open_text
 
 NOUN = "noun"
-VERB = "verb"
-ADJECTIVE = "adjective"
-OTHER = "other"
 
-_WORD_CLASSES = frozenset({NOUN, VERB, ADJECTIVE})
+_WORD_CLASSES = frozenset({NOUN, "verb", "adjective"})
 
 #: Articles, prepositions, pronouns and auxiliaries. Used only to gate
 #: knowledge-graph lookups for otherwise undetectable words; detector and
@@ -48,9 +46,15 @@ def _is_consonant(word: str, i: int) -> bool:
     ch = word[i]
     if ch in "aeiou":
         return False
-    if ch == "y":
-        return i == 0 or not _is_consonant(word, i - 1)
-    return True
+    if ch != "y":
+        return True
+    # along a run of y's consonant and vowel alternate; the run's first y is a
+    # consonant at the start of the word or after a vowel
+    start = i
+    while start > 0 and word[start - 1] == "y":
+        start -= 1
+    first_is_consonant = start == 0 or word[start - 1] in "aeiou"
+    return first_is_consonant == ((i - start) % 2 == 0)
 
 
 def _measure(stem: str) -> int:
@@ -233,31 +237,21 @@ def tokenize(text: str) -> list[Token]:
 
 # --- Word classes ---------------------------------------------------------
 
-@dataclass(frozen=True)
-class WordClassMap:
-    """Word to part-of-speech lookup backed by an external word,class CSV.
-
-    Absent words map to ``other``; no tagging is attempted.
-    """
-
-    entries: dict[str, str] = field(default_factory=dict)
-
-    @classmethod
-    def from_csv(cls, path) -> "WordClassMap":
-        entries = {}
-        with open_text(path) as fh:
-            for lineno, row in enumerate(csv.reader(fh), start=1):
-                if not row:
-                    continue
-                if len(row) != 2:
-                    raise IngestError("expected `word,class`", path=path, line=lineno)
-                word, word_class = row[0].strip().lower(), row[1].strip().lower()
-                if word_class not in _WORD_CLASSES:
-                    raise IngestError(
-                        f"unknown word class {word_class!r}", path=path, line=lineno
-                    )
-                entries[word] = word_class
-        return cls(entries=entries)
-
-    def get(self, word: str) -> str:
-        return self.entries.get(word, OTHER)
+def parse_nouns_csv(path) -> frozenset[str]:
+    """The words an external ``word,class`` CSV lists as nouns; no tagging is
+    attempted. Every line must name a class of noun, verb or adjective, and a
+    word listed twice keeps its last class."""
+    classes = {}
+    with open_text(path) as fh:
+        for lineno, row in enumerate(csv.reader(fh), start=1):
+            if not row:
+                continue
+            if len(row) != 2:
+                raise IngestError("expected `word,class`", path=path, line=lineno)
+            word, word_class = row[0].strip().lower(), row[1].strip().lower()
+            if word_class not in _WORD_CLASSES:
+                raise IngestError(
+                    f"unknown word class {word_class!r}", path=path, line=lineno
+                )
+            classes[word] = word_class
+    return frozenset(w for w, c in classes.items() if c == NOUN)

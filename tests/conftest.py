@@ -9,7 +9,6 @@ from cnretrieval import (
     Relation,
     ScoreConfig,
     Scorer,
-    WordClassMap,
     stem_set,
 )
 
@@ -77,13 +76,13 @@ def corpus(bank):
 
 
 @pytest.fixture
-def word_classes():
-    return WordClassMap(entries=dict(TINY_WORD_CLASSES))
+def nouns():
+    return frozenset(w for w, c in TINY_WORD_CLASSES.items() if c == "noun")
 
 
 @pytest.fixture
-def scorer(bank, graph, corpus, word_classes):
-    return Scorer(bank, graph, corpus, word_classes, ScoreConfig())
+def scorer(bank, graph, corpus, nouns):
+    return Scorer(bank, graph, corpus, nouns, ScoreConfig())
 
 
 @pytest.fixture

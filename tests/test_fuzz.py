@@ -24,8 +24,8 @@ from cnretrieval import (
     ScoreConfig,
     Scorer,
     SnapshotError,
-    WordClassMap,
     load_queries,
+    parse_nouns_csv,
     parse_relations_csv,
     parse_tags_jsonl,
     snapshot,
@@ -56,7 +56,7 @@ PARSERS = {
     "detectors": DetectorBank.from_jsonl,
     "graph": parse_relations_csv,
     "corpus": parse_tags_jsonl,
-    "word_classes": WordClassMap.from_csv,
+    "word_classes": parse_nouns_csv,
     "queries": load_queries,
 }
 
@@ -67,7 +67,7 @@ def valid_payload():
         path = Path(tmp) / "world.snap"
         snapshot.save(path, bank, KnowledgeGraph.project(TINY_EDGES, bank.stem_index),
                       CooccurrenceModel.project(stemmed(TINY_CORPUS), bank.stem_index),
-                      WordClassMap(entries={"chef": "noun"}))
+                      frozenset({"chef"}))
         return pickle.loads(path.read_bytes())
 
 

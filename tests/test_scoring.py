@@ -102,12 +102,10 @@ class TestPartition:
         assert undetected(on, tokenize("in")) == {"in"}
         assert tier_words(off, KNOWLEDGE) == {"in"}
 
-    def test_noun_only_gate(self, scorer, bank, graph, corpus):
-        from cnretrieval import WordClassMap
+    def test_noun_only_gate(self, scorer, bank, graph, corpus, nouns):
         nn = scorer.with_config(noun_only=True)
         assert tier_words(nn.plan(tokenize("chef")), KNOWLEDGE) == {"chef"}
-        relabeled = Scorer(bank, graph, corpus,
-                           WordClassMap(entries={"chef": "verb"}),
+        relabeled = Scorer(bank, graph, corpus, nouns - {"chef"},
                            ScoreConfig(noun_only=True))
         assert relabeled.plan(tokenize("chef")).factors == ()
 
@@ -286,12 +284,13 @@ class TestReductionChain:
 
 
 class TestScoresAgainstOracle:
-    def tiny_world(self, bank, graph, corpus, word_classes):
-        from conftest import TINY_CORPUS, TINY_EDGES, TINY_SCORES, TINY_VOCAB
+    def tiny_world(self):
+        from conftest import (TINY_CORPUS, TINY_EDGES, TINY_SCORES, TINY_VOCAB,
+                              TINY_WORD_CLASSES)
         return oracle.World(
             TINY_VOCAB, TINY_SCORES,
             [("RelatedTo", *r) for r in TINY_EDGES],
-            TINY_CORPUS, dict(word_classes.entries),
+            TINY_CORPUS, TINY_WORD_CLASSES,
         )
 
     @pytest.mark.parametrize("query", [
@@ -303,9 +302,8 @@ class TestScoresAgainstOracle:
     ])
     @pytest.mark.parametrize("aggregator", ["min", "max", "mean_arithmetic",
                                             "mean_geometric"])
-    def test_all_scores_match(self, scorer, query, aggregator,
-                              bank, graph, corpus, word_classes):
-        world = self.tiny_world(bank, graph, corpus, word_classes)
+    def test_all_scores_match(self, scorer, query, aggregator, bank):
+        world = self.tiny_world()
         variant = scorer.with_config(aggregator=aggregator)
         tokens = tokenize(query)
         words = [t.surface for t in tokens]
@@ -320,8 +318,8 @@ class TestScoresAgainstOracle:
                 pytest.approx(oracle.cn(world, words, image, aggregator=aggregator),
                               rel=1e-9)
 
-    def test_esp_relatedness_matches(self, scorer, bank, graph, corpus, word_classes):
-        world = self.tiny_world(bank, graph, corpus, word_classes)
+    def test_esp_relatedness_matches(self, scorer, bank):
+        world = self.tiny_world()
         variant = scorer.with_config(relatedness="corpus-cooccurrence")
         tokens = tokenize("a chef cooking")
         words = [t.surface for t in tokens]

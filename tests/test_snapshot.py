@@ -9,7 +9,6 @@ from cnretrieval import (
     ScoreConfig,
     Scorer,
     SnapshotError,
-    WordClassMap,
     cli,
     snapshot,
     text,
@@ -32,7 +31,7 @@ def saved(tmp_path):
         stemmed(TINY_CORPUS + [("esp6", ["chef", "umbrellas"]),
                                ("esp7", ["violin", "hiking", "dog"])]),
         bank.stem_index)
-    snapshot.save(path, bank, graph, corpus, WordClassMap(entries={"chef": "noun"}))
+    snapshot.save(path, bank, graph, corpus, frozenset({"chef"}))
     return path, graph, corpus
 
 
@@ -68,7 +67,8 @@ def test_plan_stems_only_the_query_tokens(saved, relatedness, estimator):
 def test_tables_round_trip_as_plain_containers(saved):
     path, graph, corpus = saved
     payload = pickle.loads(path.read_bytes())
-    assert payload["format_version"] == snapshot.FORMAT_VERSION == 3
+    assert payload["format_version"] == snapshot.FORMAT_VERSION == 4
+    assert payload["nouns"] == ["chef"]
     rows = payload["graph"]["rows"]
     assert rows == graph.rows
     assert all(type(row) is tuple and all(type(n) is tuple for n in row)
@@ -82,7 +82,8 @@ def test_tables_round_trip_as_plain_containers(saved):
 
 
 #: tables that unpickle but would make a query fail: (where, key, edit of the
-#: saved table); the tiny world has 7 corpus images, 3 of them tagged "chef"
+#: saved table), where None is the payload itself; the tiny world has 7
+#: corpus images, 3 of them tagged "chef"
 BAD_TABLES = {
     "row-not-triples": ("graph", "rows", lambda rows: {**rows, "chef": 5}),
     "neighbor-without-detector": ("graph", "rows", lambda rows: {
@@ -99,6 +100,8 @@ BAD_TABLES = {
         **rows, "chef": {**rows["chef"], "person": None}}),
     "tag-to-unknown-stem": ("corpus", "co_counts", lambda rows: {
         **rows, "chef": {**rows["chef"], "zebra": 1}}),
+    "nouns-a-string": (None, "nouns", lambda _: "chef"),
+    "nouns-a-dict": (None, "nouns", lambda _: {"chef": "noun"}),
 }
 
 
@@ -107,7 +110,8 @@ def test_tables_a_query_cannot_use_exit_2(saved, capsys, case):
     path = saved[0]
     where, key, edit = BAD_TABLES[case]
     payload = pickle.loads(path.read_bytes())
-    payload[where][key] = edit(payload[where][key])
+    table = payload if where is None else payload[where]
+    table[key] = edit(table[key])
     path.write_bytes(pickle.dumps(payload, protocol=4))
     assert cli.main(["classify", "chef", "--snapshot", str(path)]) == 2
     err = capsys.readouterr().err
@@ -135,19 +139,29 @@ def test_version_1_snapshot_asks_to_reingest(tmp_path, capsys, checksums):
     if checksums:
         payload["checksums"] = {"corpus": "0" * 64, "detectors": "1" * 64,
                                 "graph": "2" * 64}
-    path.write_bytes(pickle.dumps(payload, protocol=4))
-    assert cli.main(["classify", "chef", "--snapshot", str(path)]) == 2
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1
-    assert str(path) in err and "version 1" in err and "re-ingest" in err
+    assert_asks_to_reingest(path, payload, capsys)
 
 
 def test_version_2_snapshot_asks_to_reingest(saved, capsys):
     path = saved[0]
     payload = pickle.loads(path.read_bytes())
     payload["format_version"] = 2
+    assert_asks_to_reingest(path, payload, capsys)
+
+
+def test_version_3_snapshot_asks_to_reingest(saved, capsys):
+    path = saved[0]
+    payload = pickle.loads(path.read_bytes())
+    payload["format_version"] = 3
+    del payload["nouns"]
+    payload["word_classes"] = {"chef": "noun"}  # format 3 stored every class
+    assert_asks_to_reingest(path, payload, capsys)
+
+
+def assert_asks_to_reingest(path, payload, capsys):
     path.write_bytes(pickle.dumps(payload, protocol=4))
     assert cli.main(["classify", "chef", "--snapshot", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1
-    assert str(path) in err and "version 2" in err and "re-ingest" in err
+    assert str(path) in err and f"version {payload['format_version']}" in err \
+        and "re-ingest" in err

@@ -5,11 +5,21 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from cnretrieval import IngestError, WordClassMap, stem, stem_set, tokenize
-from cnretrieval.text import OTHER
+from cnretrieval import IngestError, parse_nouns_csv, stem, stem_set, tokenize
+from cnretrieval.text import _is_consonant
 
 words = st.text(alphabet=st.sampled_from("abcdefghijklmnopqrstuvwxyz"),
                 min_size=1, max_size=15)
+
+
+def is_consonant_recursive(word, i):
+    """Porter's definition as written: a y is a consonant at the start of a
+    word or after a vowel."""
+    if word[i] in "aeiou":
+        return False
+    if word[i] == "y":
+        return i == 0 or not is_consonant_recursive(word, i - 1)
+    return True
 
 
 class TestStem:
@@ -35,6 +45,15 @@ class TestStem:
         start = time.perf_counter()
         assert stem(word) == "bake"
         assert time.perf_counter() - start < 5.0
+
+    @given(st.text(alphabet=st.sampled_from("yyyyaebst"), min_size=1, max_size=40))
+    def test_consonant_rule_along_a_run_of_ys(self, w):
+        assert [_is_consonant(w, i) for i in range(len(w))] == \
+            [is_consonant_recursive(w, i) for i in range(len(w))]
+
+    @pytest.mark.parametrize("suffix", ["ing", "ed"])
+    def test_long_run_of_ys_stems_without_recursion(self, suffix):
+        assert stem("y" * 3000 + suffix) == "y" * 2999 + "i"
 
     @given(words)
     def test_never_grows(self, w):
@@ -87,19 +106,26 @@ class TestTokenize:
         assert forward == backward
 
 
-class TestWordClassMap:
+class TestParseNounsCsv:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "classes.csv"
         path.write_text("dog,noun\nrun,verb\nshiny,adjective\n")
-        wcm = WordClassMap.from_csv(path)
-        assert wcm.get("dog") == "noun"
-        assert wcm.get("run") == "verb"
+        nouns = parse_nouns_csv(path)
+        assert "dog" in nouns
+        assert "run" not in nouns and "shiny" not in nouns
 
-    def test_absent_word_is_other(self):
-        assert WordClassMap().get("zzz") == OTHER
+    def test_absent_word_is_not_a_noun(self, tmp_path):
+        path = tmp_path / "classes.csv"
+        path.write_text("dog,noun\n")
+        assert "zzz" not in parse_nouns_csv(path)
 
     def test_unknown_class_rejected(self, tmp_path):
         path = tmp_path / "classes.csv"
         path.write_text("dog,noun\ncat,adverb\n")
         with pytest.raises(IngestError, match="2"):
-            WordClassMap.from_csv(path)
+            parse_nouns_csv(path)
+
+    def test_last_class_wins(self, tmp_path):
+        path = tmp_path / "classes.csv"
+        path.write_text("dog,noun\ndog,verb\n")
+        assert "dog" not in parse_nouns_csv(path)
